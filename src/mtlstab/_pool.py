@@ -20,8 +20,10 @@ def default_jobs() -> int:
 
 
 def pmap(fn, items, jobs: int = 1) -> list:
+    """Map `fn` over `items` on at most one worker per task and per core."""
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with Pool(processes=min(jobs, len(items))) as pool:
+    with Pool(processes=workers) as pool:
         return pool.map(fn, items)

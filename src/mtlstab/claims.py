@@ -957,10 +957,11 @@ def documented_divergences(A: FiniteMtlAlgebra) -> list[dict[str, str]]:
     """Divergence records applying to this algebra, rendered for reports."""
     from .fixtures import load_fixture
 
+    names = dict.fromkeys(div.fixture for div in DIVERGENCES)
+    matching = {name for name in names if _same_tables(A, load_fixture(name))}
     records = []
     for div in DIVERGENCES:
-        fixture = load_fixture(div.fixture)
-        if not _same_tables(A, fixture):
+        if div.fixture not in matching:
             continue
         xs = tuple(A.index(lbl) for lbl in div.subset_labels)
         computed = _OPS[div.op](A, xs)

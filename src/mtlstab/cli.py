@@ -119,26 +119,30 @@ def _cmd_verify(args) -> tuple[Report, int]:
     return report, 0 if report.ok else 1
 
 
-def _write_corpus(path: str, algebras) -> None:
-    headers = {i: canonical_form(A).hex() for i, A in enumerate(algebras)}
+def _write_corpus(path: str, algebras, canon_hex: list[str]) -> None:
+    headers = dict(enumerate(canon_hex))
     Path(path).write_text(algfile.serialize_corpus(algebras, headers))
 
 
 def _cmd_enumerate(args) -> tuple[Report, int]:
-    spec = EnumerationSpec(size=args.size, chains_only=args.chains,
-                           dedup=not args.no_dedup, limit=args.limit)
+    try:
+        spec = EnumerationSpec(size=args.size, chains_only=args.chains,
+                               dedup=not args.no_dedup, limit=args.limit)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     try:
         algebras = enumerate_models(spec, jobs=args.jobs)
     except SizeRangeError as exc:
         raise _InputError(str(exc)) from exc
+    canon_hex = [canonical_form(A).hex() for A in algebras]
     report = Report()
     report.add("enum", "size", str(args.size))
     report.add("enum", "mode", "chains" if args.chains else "all")
     report.add("enum", "count", str(len(algebras)))
-    for A in algebras:
-        report.add("algebra", A.name, canonical_form(A).hex())
+    for A, canon in zip(algebras, canon_hex):
+        report.add("algebra", A.name, canon)
     if args.out:
-        _write_corpus(args.out, algebras)
+        _write_corpus(args.out, algebras, canon_hex)
         report.add("enum", "written", args.out)
     return report, 0
 
@@ -184,10 +188,11 @@ def _cmd_gen(args) -> tuple[Report, int]:
     report = Report()
     report.add("gen", "family", args.family)
     report.add("gen", "size", str(args.size))
-    report.add("algebra", A.name, canonical_form(A).hex() if A.n <= 10 else "-")
+    canon = canonical_form(A).hex() if A.n <= 10 else "-"
+    report.add("algebra", A.name, canon)
     if args.out:
         if A.n <= 10:
-            _write_corpus(args.out, [A])
+            _write_corpus(args.out, [A], [canon])
         else:
             Path(args.out).write_text(algfile.serialize_algebra(A))
         report.add("gen", "written", args.out)

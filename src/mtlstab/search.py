@@ -1,19 +1,20 @@
 """Standard chain families, enumeration of small algebras up to isomorphism,
 canonical forms, and the three open-problem scans.
 
-Enumeration facts used here: on a finite chain any commutative, associative,
-monotone table with unit top has a residuum automatically, so chains are
-enumerated by table search alone.  On non-chain lattices the residuum
-max{z | mul(x, z) <= y} must additionally exist, which is checked directly;
-prelinearity is filtered afterwards.
+Enumeration has one table search, `_tables_on_lattice`, run on every bounded
+lattice in natural labelling; chain enumeration is the case of the n-chain
+alone.  Monotonicity is enforced while filling, against lower covers only;
+associativity, the residuum max{z | mul(x, z) <= y} and prelinearity are
+checked on finished tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 
-from .core import FiniteMtlAlgebra, construct, validate
+from .core import (FiniteMtlAlgebra, NotALatticeError, _derive_lattice,
+                   construct, validate)
 from .classify import is_mv
 from .induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
 from .order import all_filters
@@ -42,6 +43,10 @@ class EnumerationSpec:
     chains_only: bool = False
     dedup: bool = True
     limit: int | None = None
+
+    def __post_init__(self):
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be at least 1, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -98,78 +103,23 @@ def gen_family(family: str, n: int, name: str | None = None) -> FiniteMtlAlgebra
 
 
 # ---------------------------------------------------------------------------
-# Chain enumeration.  Free entries are the pairs (i, j), 1 <= i <= j <= n-2;
-# the bot row is absorbing and the top row is the unit.  The search tree is
-# partitioned by the value of the first free entry so a worker pool can split
-# it without coordination.
-
-def _chain_free_entries(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
-
-
-def _chain_tables(n: int, first_value: int | None = None) -> list[tuple]:
-    entries = _chain_free_entries(n)
-    mul = [[0] * n for _ in range(n)]
-    for j in range(n):
-        mul[n - 1][j] = mul[j][n - 1] = j
-    out: list[tuple] = []
-
-    def lower_ok(i: int, j: int, v: int) -> bool:
-        # monotone against the left and upper neighbours, which row-major
-        # filling (plus symmetry) has already decided
-        if v < mul[i][j - 1]:
-            return False
-        if v < mul[i - 1][j]:
-            return False
-        return True
-
-    def assoc_ok() -> bool:
-        rng = range(1, n - 1)
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                        return False
-        return True
-
-    def fill(k: int) -> None:
-        if k == len(entries):
-            if assoc_ok():
-                out.append(tuple(tuple(row) for row in mul))
-            return
-        i, j = entries[k]
-        values = range(0, i + 1)
-        if k == 0 and first_value is not None:
-            values = (first_value,) if first_value <= i else ()
-        for v in values:
-            if not lower_ok(i, j, v):
-                continue
-            mul[i][j] = mul[j][i] = v
-            fill(k + 1)
-        mul[i][j] = mul[j][i] = 0
-
-    fill(0)
-    return out
-
+# Enumeration: one table search, `_tables_on_lattice`, run on each bounded
+# lattice.  Chains are the single-lattice case (meet = min, join = max).
 
 def enumerate_chains(n: int, jobs: int = 1) -> list[FiniteMtlAlgebra]:
     """All algebras on the n-chain, in ascending table order.
 
-    Chain order is rigid, so distinct tables are distinct algebras and no
-    isomorphism dedup is needed.
+    The n-chain is one lattice and so one search task, which runs in-process
+    whatever `jobs` is.  Chain order is rigid, so distinct tables are
+    distinct algebras and no isomorphism dedup is needed.
     """
     if not 2 <= n <= CHAIN_MAX:
         raise SizeRangeError(f"chain enumeration supports sizes 2..{CHAIN_MAX}")
-    if n == 2:
-        tables = _chain_tables(n)
-    else:
-        first_range = list(range(0, 2))  # first free entry is (1, 1): value in {0, 1}
-        chunks = pmap(_ChainTask(n), first_range, jobs)
-        tables = [t for chunk in chunks for t in chunk]
-    tables.sort()
+    chain = (tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
+             tuple(tuple(max(x, y) for y in range(n)) for x in range(n)))
+    (tables,) = pmap(_LatticeTask(n), [chain], jobs)
     out = []
-    for idx, mul in enumerate(tables):
-        imp = _residuum_on_chain(n, mul)
+    for idx, (mul, imp) in enumerate(sorted(tables)):
         A = construct(n, mul, imp, labels=_chain_labels(n),
                       name=f"chain{n}_{idx}")
         report = validate(A)
@@ -178,14 +128,6 @@ def enumerate_chains(n: int, jobs: int = 1) -> list[FiniteMtlAlgebra]:
                                  f" {report.violations[0]}")
         out.append(A)
     return out
-
-
-class _ChainTask:
-    def __init__(self, n: int):
-        self.n = n
-
-    def __call__(self, first_value: int) -> list[tuple]:
-        return _chain_tables(self.n, first_value)
 
 
 def enumerate_chains_via_residuum(n: int) -> list[tuple]:
@@ -266,114 +208,94 @@ def enumerate_chains_via_residuum(n: int) -> list[tuple]:
     return sorted(results)
 
 
-# ---------------------------------------------------------------------------
-# Full enumeration: bounded lattices first, then table search on each.
-
 def _bounded_lattices(n: int) -> list[tuple]:
-    """Order matrices of bounded lattices on 0..n-1 with 0 bottom, n-1 top,
+    """(meet, join) of every bounded lattice on 0..n-1 with 0 bottom, n-1 top,
     in natural labelling (the order refines the integer order), so every
     isomorphism class appears at least once."""
     interior = range(1, n - 1)
     pairs = [(i, j) for i in interior for j in interior if i < j]
     lattices = []
     for bitmask in range(1 << len(pairs)):
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
-            leq[0][i] = True
-            leq[i][n - 1] = True
+        leq = [[x == y or x == 0 or y == n - 1 for y in range(n)]
+               for x in range(n)]
         for k, (i, j) in enumerate(pairs):
             if bitmask >> k & 1:
                 leq[i][j] = True
-        if not all(
-            leq[x][z] or not (leq[x][y] and leq[y][z])
-            for x, y, z in product(range(n), repeat=3)
-        ):
+        try:
+            lattices.append(_derive_lattice(n, leq, 0, n - 1))
+        except NotALatticeError:
             continue
-        meet = [[None] * n for _ in range(n)]
-        join = [[None] * n for _ in range(n)]
-        good = True
-        for x in range(n):
-            for y in range(n):
-                lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
-                best = [m for m in lower if all(leq[z][m] for z in lower)]
-                if len(best) != 1:
-                    good = False
-                    break
-                meet[x][y] = best[0]
-                upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
-                best = [m for m in upper if all(leq[m][z] for z in upper)]
-                if len(best) != 1:
-                    good = False
-                    break
-                join[x][y] = best[0]
-            if not good:
-                break
-        if good:
-            lattices.append((tuple(map(tuple, meet)), tuple(map(tuple, join))))
     return lattices
 
 
 def _tables_on_lattice(n: int, meet, join) -> list[tuple]:
-    """Commutative associative monotone tables with unit top on a lattice,
-    already filtered for residuum existence and prelinearity."""
+    """(mul, imp) of every MTL-algebra on a naturally labelled lattice.
+
+    The free entries (i, j), 1 <= i <= j <= n-2, are filled row-major; the
+    bot row is absorbing and the top row is the unit.  Lower covers carry
+    smaller labels, so when (i, j) is filled the entries mul(p, j) for p
+    covered by i and mul(i, q) for q covered by j are already decided, and
+    the value must lie between their join and meet(i, j).  The order is the
+    transitive closure of its covers, so every finished table is monotone.
+    Associativity, the residuum max{z | mul(x, z) <= y} and prelinearity
+    are checked on finished tables.
+    """
     top = n - 1
-
-    def leq(x, y):
-        return meet[x][y] == x
-
-    downsets = [
-        tuple(z for z in range(n) if leq(z, x)) for x in range(n)
-    ]
-    entries = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
-    mul = [[0] * n for _ in range(n)]
-    for j in range(n):
+    rng = range(n)
+    inner = range(1, top)
+    leq = [[meet[x][y] == x for y in rng] for x in rng]
+    # bot is left out of the covers: mul(bot, y) = bot adds nothing to a join
+    covers = [[p for p in range(1, x) if leq[p][x]
+               and not any(leq[p][r] and leq[r][x] for r in range(p + 1, x))]
+              for x in rng]
+    between = [[tuple(z for z in rng if leq[a][z] and leq[z][b]) for b in rng]
+               for a in rng]
+    entries = [(i, j) for i in inner for j in range(i, top)]
+    below = [[(p, j) for p in covers[i]] + [(i, q) for q in covers[j]]
+             for i, j in entries]
+    mul = [[0] * n for _ in rng]
+    for j in rng:
         mul[top][j] = mul[j][top] = j
     out = []
-    assigned: list[tuple[int, int]] = []
-
-    def monotone_ok(i: int, j: int, v: int) -> bool:
-        # compare against every decided free entry, both orientations; the
-        # border rows are covered because v <= meet(i, j) already
-        for a, b in assigned:
-            for p, q in ((a, b), (b, a)):
-                if leq(p, i) and leq(q, j) and not leq(mul[p][q], v):
-                    return False
-                if leq(i, p) and leq(j, q) and not leq(v, mul[p][q]):
-                    return False
-        return True
 
     def finish() -> None:
-        for x, y, z in product(range(1, n - 1), repeat=3):
-            if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                return
-        imp = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                zs = [z for z in range(n) if leq(mul[x][z], y)]
+        for x in inner:
+            mx = mul[x]
+            for y in inner:
+                mxy, my = mul[mx[y]], mul[y]
+                for z in inner:
+                    if mxy[z] != mx[my[z]]:
+                        return
+        imp = []
+        for x in rng:
+            mx = mul[x]
+            row = []
+            for y in rng:
                 j = 0
-                for z in zs:
-                    j = join[j][z]
-                if not leq(mul[x][j], y):
+                for z in rng:
+                    if leq[mx[z]][y]:
+                        j = join[j][z]
+                if not leq[mx[j]][y]:
                     return
-                imp[x][y] = j
-        for x, y in product(range(n), repeat=2):
-            if join[imp[x][y]][imp[y][x]] != top:
-                return
-        out.append((tuple(map(tuple, mul)), tuple(map(tuple, imp))))
+                row.append(j)
+            imp.append(tuple(row))
+        for x in rng:
+            for y in rng:
+                if join[imp[x][y]][imp[y][x]] != top:
+                    return
+        out.append((tuple(map(tuple, mul)), tuple(imp)))
 
     def fill(k: int) -> None:
         if k == len(entries):
             finish()
             return
         i, j = entries[k]
-        for v in downsets[meet[i][j]]:
-            if not monotone_ok(i, j, v):
-                continue
+        lo = 0
+        for p, q in below[k]:
+            lo = join[lo][mul[p][q]]
+        for v in between[lo][meet[i][j]]:
             mul[i][j] = mul[j][i] = v
-            assigned.append((i, j))
             fill(k + 1)
-            assigned.pop()
         mul[i][j] = mul[j][i] = 0
 
     fill(0)
@@ -408,8 +330,7 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
 
 
 def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
-                  dedup: bool = True, limit: int | None = None
-                  ) -> list[FiniteMtlAlgebra]:
+                  dedup: bool = True) -> list[FiniteMtlAlgebra]:
     """Every algebra on n elements up to isomorphism, canonical order."""
     cap = FULL_MAX_OPTIN if allow_large else FULL_MAX
     if not 2 <= n <= cap:
@@ -435,15 +356,7 @@ def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
         ordered = [seen[key] for key in sorted(seen)]
     else:
         ordered = plain
-    out = []
-    for idx, A in enumerate(ordered):
-        named = construct(n, A.mul, A.imp, A.meet, A.join, bot=A.bot,
-                          top=A.top, labels=A.labels, name=f"alg{n}_{idx}")
-        validate(named)
-        out.append(named)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return [replace(A, name=f"alg{n}_{idx}") for idx, A in enumerate(ordered)]
 
 
 class _LatticeTask:
@@ -458,10 +371,9 @@ class _LatticeTask:
 def enumerate_models(spec: EnumerationSpec, jobs: int = 1) -> list[FiniteMtlAlgebra]:
     if spec.chains_only:
         out = enumerate_chains(spec.size, jobs)
-        if not spec.dedup:
-            pass  # chains never contain isomorphic duplicates
-        return out[: spec.limit] if spec.limit is not None else out
-    return enumerate_all(spec.size, jobs, dedup=spec.dedup, limit=spec.limit)
+    else:
+        out = enumerate_all(spec.size, jobs, dedup=spec.dedup)
+    return out[: spec.limit]
 
 
 # ---------------------------------------------------------------------------

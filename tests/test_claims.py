@@ -1,5 +1,6 @@
 import pytest
 
+from mtlstab import fixtures as fixtures_module
 from mtlstab import from_labels, mult_stab
 from mtlstab.claims import (
     UnknownClaimError,
@@ -99,8 +100,17 @@ def test_bundles_on_fixtures(small_corpus):
         assert t316.verdict in ("holds", "not-applicable"), (name, t316.witness)
 
 
-def test_divergence_records(fixtures):
+def test_divergence_records(fixtures, monkeypatch):
+    loaded = []
+    real_load = fixtures_module.load_fixture
+
+    def counting_load(name):
+        loaded.append(name)
+        return real_load(name)
+
+    monkeypatch.setattr(fixtures_module, "load_fixture", counting_load)
     a4 = documented_divergences(fixtures["a4"])
+    assert sorted(loaded) == ["a4", "c5"]  # each fixture parsed once per call
     assert {(d["op"], d["computed"], d["reported"], d["match"]) for d in a4} == {
         ("mult_left", "1", "b,1", "false"),
         ("mult_right", "0", "0,b", "false"),

@@ -113,6 +113,16 @@ def test_enumerate_writes_corpus(tmp_path):
     assert all(validate(A).valid for A in algs)
 
 
+def test_enumerate_limit_below_one_exits_2(capsys):
+    for mode in ([], ["--chains"]):
+        for limit in ("0", "-1"):
+            argv = ["enumerate", "--size", "4", "--limit", limit] + mode
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "limit must be at least 1" in captured.err
+
+
 def test_search_file_mode(fixture_file):
     code, out = run_cli(["search", "--problem", "1",
                          "--file", fixture_file("a4"), "--format", "machine"])

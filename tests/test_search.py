@@ -1,15 +1,19 @@
+import os
 from itertools import product
 
 import pytest
 
 from mtlstab import (all_nonempty_subsets, from_labels, impl_left,
                      impl_right, singleton)
+from mtlstab import _pool
 from mtlstab.classify import is_chain, is_godel, is_imtl, is_mv
+from mtlstab.core import LatticeMismatchError, construct, validate
 from mtlstab.induced import check_mtl_iso
 from mtlstab.search import (
     EnumerationSpec,
     SizeRangeError,
     UnknownFamilyError,
+    _bounded_lattices,
     canonical_form,
     enumerate_all,
     enumerate_chains,
@@ -112,6 +116,55 @@ def test_enumerate_all_5_contains_the_diamond_fixture(fixtures):
     assert canonical_form(fixtures["n5"]) in forms
 
 
+def naive_algebras(n):
+    """Every table with unit top, absorbing bot and commutativity on each
+    bounded lattice, kept when construct and validate accept it; imp(x, y)
+    is the largest z with mul(x, z) <= y.  Non-associative tables are
+    dropped before the residuum only to save time: validate rejects them
+    anyway."""
+    top = n - 1
+    rng = range(n)
+    free = [(i, j) for i in range(1, top) for j in range(i, top)]
+    found = []
+    for meet, join in _bounded_lattices(n):
+        leq = [[meet[x][y] == x for y in rng] for x in rng]
+        for values in product(rng, repeat=len(free)):
+            mul = [[0] * n for _ in rng]
+            for x in rng:
+                mul[top][x] = mul[x][top] = x
+            for (i, j), v in zip(free, values):
+                mul[i][j] = mul[j][i] = v
+            if any(mul[mul[x][y]][z] != mul[x][mul[y][z]]
+                   for x, y, z in product(rng, repeat=3)):
+                continue
+            imp = [[0] * n for _ in rng]
+            for x, y in product(rng, repeat=2):
+                below = [z for z in rng if leq[mul[x][z]][y]]
+                largest = [z for z in below if all(leq[w][z] for w in below)]
+                if len(largest) != 1:
+                    break
+                imp[x][y] = largest[0]
+            else:
+                try:
+                    A = construct(n, mul, imp, meet, join)
+                except LatticeMismatchError:
+                    continue
+                if validate(A).valid:
+                    found.append(A)
+    return found
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_full_enumeration_against_naive_table_bruteforce(n):
+    naive = naive_algebras(n)
+    assert {canonical_form(A) for A in naive} \
+        == {canonical_form(A) for A in enumerate_all(n)}
+    raw = enumerate_all(n, dedup=False)
+    assert sorted((A.meet, A.mul, A.imp) for A in naive) \
+        == sorted((A.meet, A.mul, A.imp) for A in raw)
+    assert len(raw) == len(naive)
+
+
 def test_enumeration_size_limits():
     with pytest.raises(SizeRangeError):
         enumerate_chains(8)
@@ -126,6 +179,9 @@ def test_enumeration_spec_limit_and_dedup():
     raw = enumerate_models(EnumerationSpec(size=4, dedup=False))
     deduped = enumerate_models(EnumerationSpec(size=4))
     assert len(raw) >= len(deduped)
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            EnumerationSpec(size=4, limit=limit)
 
 
 def test_canonical_form_properties(fixtures, diamond):
@@ -172,9 +228,20 @@ def test_open3(fixtures, boolean2):
             for f in findings] == [("a", "3", "2"), ("b", "2", "3")]
 
 
-def test_parallel_enumeration_matches_serial():
+def test_parallel_enumeration_matches_serial(monkeypatch):
+    started = []
+    real_pool = _pool.Pool
+
+    def recording_pool(processes):
+        started.append(processes)
+        return real_pool(processes=processes)
+
+    monkeypatch.setattr(_pool, "Pool", recording_pool)
+    cores = os.cpu_count() or 1
     serial = [(A.mul, A.imp) for A in enumerate_chains(5, jobs=1)]
     parallel = [(A.mul, A.imp) for A in enumerate_chains(5, jobs=4)]
     assert serial == parallel
-    assert [A.mul for A in enumerate_all(4, jobs=1)] \
-        == [A.mul for A in enumerate_all(4, jobs=4)]
+    for jobs in (4, cores + 3):
+        assert [A.mul for A in enumerate_all(5, jobs=1)] \
+            == [A.mul for A in enumerate_all(5, jobs=jobs)]
+    assert all(2 <= p <= cores for p in started)

@@ -12,9 +12,10 @@ carry metadata saying so; regression runs alert when an expected refutation
 disappears.  One entry (P4.3.11) references an operator that has no
 definition for proper subsets and is registered as not evaluable.
 
-The checks here deliberately re-evaluate stabilizers from their literal
-definitions instead of calling the bitmask-cached operators, so the library
-implementation and the claim layer stay independent routes to the same sets.
+Claims read stabilizers, filters and ideals from the library operators.  The
+second, independent route to the same sets lives in `_cross_route`: P3.4.1
+and P4.3.1 evaluate the literal element-by-element definitions there and
+compare them with the bitmask operators on every subset of the domain.
 """
 
 from __future__ import annotations
@@ -22,11 +23,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import FiniteMtlAlgebra, InternalConsistencyError, require_validated
 from .classify import (
+    godel_by_left_stabilizers,
+    godel_by_right_stabilizers,
     godel_chain_by_stabilizers,
+    imtl_by_stabilizers,
+    integral_by_stabilizers,
     is_bl,
     is_chain,
     is_godel,
@@ -40,9 +45,27 @@ from .induced import (
     order_iso_right,
     right_mult_algebra,
 )
-from .order import all_filters, generated_filter, is_prime_lattice_ideal, \
-    is_proper_filter, is_prime_filter, subalgebra_violation
-from .subsets import from_elements
+from .order import (
+    all_filters,
+    generated_filter,
+    is_filter,
+    is_lattice_ideal,
+    is_prime_filter,
+    is_prime_lattice_ideal,
+    is_proper_filter,
+    subalgebra_violation,
+)
+from .stabilizers import (
+    SUITE_ORDER,
+    impl_left,
+    impl_right,
+    impl_stab,
+    mult_left,
+    mult_right,
+    mult_stab,
+    ortho,
+)
+from .subsets import Subset, from_elements, from_labels, full, singleton
 from ._pool import pmap
 
 SAMPLE_SEED = 0x4D544C  # carrier sampling beyond exhaustive range, fixed
@@ -77,48 +100,6 @@ class Claim:
     documented: Callable[[FiniteMtlAlgebra], dict | None] | None = None
 
 
-# ---------------------------------------------------------------------------
-# Definitional stabilizer evaluation (independent of the cached operators).
-
-def _d_impl_left(A, xs) -> frozenset:
-    return frozenset(a for a in range(A.n) if all(A.imp[a][x] == x for x in xs))
-
-
-def _d_impl_right(A, xs) -> frozenset:
-    return frozenset(a for a in range(A.n) if all(A.imp[x][a] == a for x in xs))
-
-
-def _d_impl_stab(A, xs) -> frozenset:
-    return _d_impl_left(A, xs) & _d_impl_right(A, xs)
-
-
-def _d_ortho(A, xs) -> frozenset:
-    return frozenset(a for a in range(A.n) if all(A.join[a][x] == A.top for x in xs))
-
-
-def _d_mult_left(A, xs) -> frozenset:
-    return frozenset(a for a in range(A.n) if all(A.mul[a][x] == x for x in xs))
-
-
-def _d_mult_right(A, xs) -> frozenset:
-    return frozenset(a for a in range(A.n) if all(A.mul[x][a] == a for x in xs))
-
-
-def _d_mult_stab(A, xs) -> frozenset:
-    return _d_mult_left(A, xs) & _d_mult_right(A, xs)
-
-
-def _members(bits: int, n: int) -> tuple[int, ...]:
-    return tuple(x for x in range(n) if bits >> x & 1)
-
-
-def _rend(A, elems: Iterable[int]) -> str:
-    elems = set(elems)
-    if not elems:
-        return "∅"
-    return ",".join(A.labels[x] for x in range(A.n) if x in elems)
-
-
 def _subset_domain(A) -> list[int]:
     """Nonempty subset bit patterns: exhaustive for small carriers, a fixed
     deterministic sample for large ones."""
@@ -132,36 +113,6 @@ def _subset_domain(A) -> list[int]:
         if bits:
             seen.add(bits)
     return sorted(seen)
-
-
-def _d_filter(A, elems: frozenset) -> bool:
-    if not elems:
-        return False
-    for a in elems:
-        for b in elems:
-            if A.mul[a][b] not in elems:
-                return False
-        for y in range(A.n):
-            if A.meet[a][y] == a and y not in elems:
-                return False
-    return True
-
-
-def _d_lattice_ideal(A, elems: frozenset) -> bool:
-    if not elems:
-        return False
-    for a in elems:
-        for b in elems:
-            if A.join[a][b] not in elems:
-                return False
-        for y in range(A.n):
-            if A.meet[y][a] == y and y not in elems:
-                return False
-    return True
-
-
-def _gen_filter(A, xs) -> frozenset:
-    return frozenset(generated_filter(A, from_elements(A, xs)).members())
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +130,22 @@ def _tuple_claim(arity: int, pred, render):
 
 
 def _subset_claim(pred):
-    """pred(A, xs) -> witness dict or None, scanned over the subset domain."""
+    """pred(A, X) -> witness dict or None, scanned over the subset domain."""
     def check(A):
         domain = _subset_domain(A)
         for bits in domain:
-            xs = _members(bits, A.n)
-            w = pred(A, xs)
+            X = Subset(A, bits)
+            w = pred(A, X)
             if w is not None:
-                w.setdefault("X", _rend(A, xs))
+                w.setdefault("X", X.render())
                 return False, w, len(domain)
         return True, None, len(domain)
     return check
+
+
+def _every_subset(pred):
+    """Bundle condition: pred(A, X) holds on every subset of the domain."""
+    return lambda A: all(pred(A, Subset(A, bits)) for bits in _subset_domain(A))
 
 
 def _bundle_claim(parts):
@@ -201,6 +157,118 @@ def _bundle_claim(parts):
         witness = {name: str(v).lower() for name, v in values}
         return False, witness, len(values)
     return check
+
+
+def _cross_route(table_name: str, op_left, op_right):
+    """The literal definitions against the library's bitmask operators.
+
+    left(X) = {a | T(a, x) == x for all x in X} and right(X) = {a | T(x, a)
+    == a for all x in X} are evaluated element by element on the table T and
+    compared with op_left and op_right, which intersect cached singleton
+    masks.  The witness names the literal set `whole` and the library set
+    `intersection`.  The two-sided part is left & right on both routes, so
+    it cannot fail first and is not compared.
+    """
+    def pred(A, X):
+        table, xs = getattr(A, table_name), X.members()
+        for name, fixed, op in (
+            ("left", lambda a: all(table[a][x] == x for x in xs), op_left),
+            ("right", lambda a: all(table[x][a] == a for x in xs), op_right),
+        ):
+            whole = from_elements(A, filter(fixed, range(A.n)))
+            intersection = op(A, X)
+            if whole != intersection:
+                return {"part": name, "whole": whole.render(),
+                        "intersection": intersection.render()}
+        return None
+    return _subset_claim(pred)
+
+
+def _antitone_check(parts):
+    """X a proper subset of Y forces op(Y) <= op(X), for every part, over
+    each domain subset Y and its nonempty proper subsets X in descending bit
+    order.  Operator bits are computed once per subset."""
+    def check(A):
+        def op_bits(bits):
+            X = Subset(A, bits)
+            return tuple(op(A, X).bits for _, op in parts)
+
+        domain = _subset_domain(A)
+        known = {bits: op_bits(bits) for bits in domain}
+        count = 0
+        for ybits in domain:
+            ys = known[ybits]
+            sub = (ybits - 1) & ybits
+            while sub:
+                count += 1
+                xs = known[sub] if sub in known else op_bits(sub)
+                for (name, _), y, x in zip(parts, ys, xs):
+                    if y & ~x:
+                        return False, {
+                            "part": name, "X": Subset(A, sub).render(),
+                            "Y": Subset(A, ybits).render(),
+                        }, count
+                sub = (sub - 1) & ybits
+        return True, None, count
+    return check
+
+
+def _blind_to_generation(op):
+    """op(generated_filter(X)) == op(X)."""
+    def pred(A, X):
+        gen = generated_filter(A, X)
+        of_gen, of_x = op(A, gen), op(A, X)
+        if of_gen != of_x:
+            return {"generated": gen.render(),
+                    "right-of-generated": of_gen.render(),
+                    "right-of-X": of_x.render()}
+        return None
+    return _subset_claim(pred)
+
+
+def _left_is_filter(op):
+    def pred(A, X):
+        left = op(A, X)
+        return None if is_filter(A, left) else {"left": left.render()}
+    return _subset_claim(pred)
+
+
+def _documented_at(labels: tuple[str, ...], pred):
+    """The documented witness: pred at the subset with these labels, when the
+    algebra has them."""
+    def documented(A):
+        try:
+            X = from_labels(A, labels)
+        except KeyError:
+            return None
+        w = pred(A, X)
+        if w is not None:
+            w["X"] = X.render()
+        return w
+    return documented
+
+
+def _closure_witness(A, S: Subset, ops: tuple[str, ...]):
+    """First (a, b, op) in S x S x ops whose result leaves S, or None."""
+    tables = [(opname, getattr(A, opname)) for opname in ops]
+    for a in S:
+        for b in S:
+            for opname, table in tables:
+                if table[a][b] not in S:
+                    return {"a": A.labels[a], "b": A.labels[b], "op": opname}
+    return None
+
+
+def _subalgebra_witness(A, S: Subset):
+    violation = subalgebra_violation(A, S)
+    if violation is None:
+        return None
+    if violation[0] == "missing":
+        detail = f"missing constant {A.labels[violation[1]]}"
+    else:
+        op, x, y, r = violation
+        detail = f"{op}({A.labels[x]},{A.labels[y]})={A.labels[r]}"
+    return {"set": S.render(), "violation": detail}
 
 
 # -- basic identities -------------------------------------------------------
@@ -252,117 +320,58 @@ _BASIC_STATEMENTS = {
 
 # -- implicative stabilizer claims ------------------------------------------
 
-def _p341(A, xs):
-    for name, whole, single in (
-        ("left", _d_impl_left, _d_impl_left),
-        ("right", _d_impl_right, _d_impl_right),
-        ("stab", _d_impl_stab, _d_impl_stab),
-    ):
-        inter = frozenset(range(A.n))
-        for x in xs:
-            inter &= single(A, (x,))
-        if whole(A, xs) != inter:
-            return {"part": name, "whole": _rend(A, whole(A, xs)),
-                    "intersection": _rend(A, inter)}
-    return None
-
-
-def _antitone_check(parts):
-    def check(A):
-        domain = _subset_domain(A)
-        count = 0
-        for ybits in domain:
-            ys = _members(ybits, A.n)
-            sub = (ybits - 1) & ybits
-            while True:
-                if sub:
-                    count += 1
-                    xs = _members(sub, A.n)
-                    for name, fn in parts:
-                        if not fn(A, ys) <= fn(A, xs):
-                            return False, {
-                                "part": name,
-                                "X": _rend(A, xs), "Y": _rend(A, ys),
-                            }, count
-                if sub == 0:
-                    break
-                sub = (sub - 1) & ybits
-        return True, None, count
-    return check
-
-
-def _p343(A, xs):
-    gen = _gen_filter(A, xs)
-    if _d_impl_right(A, gen) != _d_impl_right(A, xs):
-        return {"generated": _rend(A, gen),
-                "right-of-generated": _rend(A, _d_impl_right(A, gen)),
-                "right-of-X": _rend(A, _d_impl_right(A, xs))}
-    return None
-
-
-def _p344(A, xs):
-    is_top_only = set(xs) == {A.top}
-    all_full = (
-        _d_impl_left(A, xs) == _d_impl_right(A, xs) == frozenset(range(A.n))
-    )
-    if is_top_only != all_full:
-        return {"left": _rend(A, _d_impl_left(A, xs)),
-                "right": _rend(A, _d_impl_right(A, xs))}
+def _p344(A, X):
+    left, right = impl_left(A, X), impl_right(A, X)
+    if (X.bits == 1 << A.top) != (left == right == full(A)):
+        return {"left": left.render(), "right": right.render()}
     return None
 
 
 def _p345(A):
-    xs = tuple(range(A.n))
-    expect = frozenset((A.top,))
-    for name, fn in (("left", _d_impl_left), ("right", _d_impl_right),
-                     ("stab", _d_impl_stab)):
-        if fn(A, xs) != expect:
-            return False, {"part": name, "computed": _rend(A, fn(A, xs))}, 1
+    X, expect = full(A), singleton(A, A.top)
+    for name, op in (("left", impl_left), ("right", impl_right),
+                     ("stab", impl_stab)):
+        computed = op(A, X)
+        if computed != expect:
+            return False, {"part": name, "computed": computed.render()}, 1
     return True, None, 1
 
 
 def _p346(A):
-    xs = (A.bot,)
-    expect = frozenset((A.top,))
-    if _d_impl_right(A, xs) != expect or _d_impl_stab(A, xs) != expect:
-        return False, {"right": _rend(A, _d_impl_right(A, xs)),
-                       "stab": _rend(A, _d_impl_stab(A, xs))}, 1
+    X, expect = singleton(A, A.bot), singleton(A, A.top)
+    right, stab = impl_right(A, X), impl_stab(A, X)
+    if right != expect or stab != expect:
+        return False, {"right": right.render(), "stab": stab.render()}, 1
     return True, None, 1
 
 
-def _p347(A, xs):
-    xr = _d_impl_right(A, xs)
-    for a in xr:
-        for b in xr:
-            for opname, table in (("meet", A.meet), ("imp", A.imp),
-                                  ("join", A.join)):
-                if table[a][b] not in xr:
-                    return {"a": A.labels[a], "b": A.labels[b], "op": opname}
-    return None
+def _p347(A, X):
+    return _closure_witness(A, impl_right(A, X), ("meet", "imp", "join"))
 
 
-def _p348(A, xs):
-    if not _d_filter(A, _d_impl_left(A, xs)):
-        return {"left": _rend(A, _d_impl_left(A, xs))}
-    return None
-
-
-def _p349(A, xs):
-    gen = _gen_filter(A, xs)
-    expect = frozenset((A.top,))
-    if gen & _d_impl_right(A, xs) != expect or gen & _d_impl_stab(A, xs) != expect:
-        return {"generated": _rend(A, gen),
-                "meet-right": _rend(A, gen & _d_impl_right(A, xs))}
+def _p349(A, X):
+    gen = generated_filter(A, X)
+    expect = singleton(A, A.top)
+    meet_right = gen & impl_right(A, X)
+    if meet_right != expect or gen & impl_stab(A, X) != expect:
+        return {"generated": gen.render(), "meet-right": meet_right.render()}
     return None
 
 
 # -- T3.6 bundle conditions (shared with T3.16) -----------------------------
 
-def _cond_left_of_generated(A) -> bool:
-    return all(
-        _d_impl_left(A, xs) == _d_impl_left(A, _gen_filter(A, xs))
-        for xs in map(lambda b: _members(b, A.n), _subset_domain(A))
-    )
+_cond_left_of_generated = _every_subset(
+    lambda A, X: impl_left(A, X) == impl_left(A, generated_filter(A, X)))
+
+_cond_right_always_filter = _every_subset(
+    lambda A, X: is_filter(A, impl_right(A, X)))
+
+_cond_left_right_equal = _every_subset(
+    lambda A, X: impl_left(A, X) == impl_right(A, X))
+
+_cond_all_stabs_coann = _every_subset(
+    lambda A, X: impl_left(A, X) == impl_right(A, X) == impl_stab(A, X)
+    == ortho(A, X))
 
 
 def _cond_exchange_fixpoints(A) -> bool:
@@ -372,53 +381,24 @@ def _cond_exchange_fixpoints(A) -> bool:
     )
 
 
-def _cond_right_always_filter(A) -> bool:
-    return all(
-        _d_filter(A, _d_impl_right(A, _members(b, A.n)))
-        for b in _subset_domain(A)
-    )
-
-
 def _cond_singleton_stabs_agree(A) -> bool:
     return all(
-        _d_impl_left(A, (x,)) == _d_impl_right(A, (x,))
+        impl_left(A, singleton(A, x)) == impl_right(A, singleton(A, x))
         for x in range(A.n)
     )
 
 
-def _cond_left_right_equal(A) -> bool:
-    return all(
-        _d_impl_left(A, _members(b, A.n)) == _d_impl_right(A, _members(b, A.n))
-        for b in _subset_domain(A)
-    )
-
-
-def _cond_all_stabs_coann(A) -> bool:
-    for b in _subset_domain(A):
-        xs = _members(b, A.n)
-        left = _d_impl_left(A, xs)
-        if not (left == _d_impl_right(A, xs) == _d_impl_stab(A, xs)
-                == _d_ortho(A, xs)):
-            return False
-    return True
-
-
-def _cond_bot_stabs_agree(A) -> bool:
-    zero = (A.bot,)
-    return _d_impl_left(A, zero) == _d_impl_stab(A, zero) == _d_ortho(A, zero)
-
-
 # -- further implicative claims ---------------------------------------------
 
-def _t39_ortho(A, xs):
-    if _d_ortho(A, xs) != _d_impl_stab(A, xs):
-        return {"ortho": _rend(A, _d_ortho(A, xs)),
-                "stab": _rend(A, _d_impl_stab(A, xs))}
+def _t39_ortho(A, X):
+    co, stab = ortho(A, X), impl_stab(A, X)
+    if co != stab:
+        return {"ortho": co.render(), "stab": stab.render()}
     return None
 
 
 def _t310_membership_cond(A) -> bool:
-    l0 = _d_impl_left(A, (A.bot,))
+    l0 = impl_left(A, singleton(A, A.bot))
     return all(
         x == y
         for x, y in product(range(A.n), repeat=2)
@@ -426,39 +406,23 @@ def _t310_membership_cond(A) -> bool:
     )
 
 
-def _t311_l0_cond(A) -> bool:
-    return _d_impl_left(A, (A.bot,)) == frozenset(range(A.n)) - {A.bot}
-
-
 def _p39_center_right(A):
-    l0 = _d_impl_left(A, (A.bot,))
-    target = _d_impl_right(A, l0)
-    violation = subalgebra_violation(A, from_elements(A, target))
-    if violation is not None:
-        if violation[0] == "missing":
-            detail = f"missing constant {A.labels[violation[1]]}"
-        else:
-            op, x, y, r = violation
-            detail = f"{op}({A.labels[x]},{A.labels[y]})={A.labels[r]}"
-        return False, {"set": _rend(A, target), "violation": detail}, 1
-    return True, None, 1
+    l0 = impl_left(A, singleton(A, A.bot))
+    w = _subalgebra_witness(A, impl_right(A, l0))
+    return w is None, w, 1
 
 
-def _t315_mv(A, xs):
-    left = _d_impl_left(A, xs)
-    if not (left == _d_impl_right(A, xs) == _d_impl_stab(A, xs)
-            == _d_ortho(A, xs)):
-        return {"left": _rend(A, left),
-                "right": _rend(A, _d_impl_right(A, xs))}
+def _t315_mv(A, X):
+    left, right = impl_left(A, X), impl_right(A, X)
+    if not left == right == impl_stab(A, X) == ortho(A, X):
+        return {"left": left.render(), "right": right.render()}
     return None
 
 
 def _p317_check(A):
     filters = all_filters(A)
     for f in filters:
-        gen = generated_filter(A, f)
-        twice = _d_impl_right(A, _d_impl_right(A, gen.members()))
-        if twice != frozenset(f.members()):
+        if impl_right(A, impl_right(A, f)) != f:
             # Premise fails; nothing to conclude.
             return True, None, len(filters)
     if not is_mv(A):
@@ -467,141 +431,69 @@ def _p317_check(A):
     return True, None, len(filters)
 
 
-def _q_subalg(A, xs):
-    target = _d_impl_right(A, xs) | {A.bot}
-    violation = subalgebra_violation(A, from_elements(A, target))
-    if violation is None:
-        return None
-    if violation[0] == "missing":
-        detail = f"missing constant {A.labels[violation[1]]}"
-    else:
-        op, x, y, r = violation
-        detail = f"{op}({A.labels[x]},{A.labels[y]})={A.labels[r]}"
-    return {"set": _rend(A, target), "violation": detail}
-
-
-def _q_documented(A):
-    if "b" not in A.labels:
-        return None
-    xs = (A.index("b"),)
-    w = _q_subalg(A, xs)
-    if w is not None:
-        w["X"] = _rend(A, xs)
-    return w
+def _q_subalg(A, X):
+    return _subalgebra_witness(A, impl_right(A, X) | singleton(A, A.bot))
 
 
 # -- multiplicative claims ---------------------------------------------------
 
-def _p431(A, xs):
-    for name, fn in (("left", _d_mult_left), ("right", _d_mult_right),
-                     ("stab", _d_mult_stab)):
-        inter = frozenset(range(A.n))
-        for x in xs:
-            inter &= fn(A, (x,))
-        if fn(A, xs) != inter:
-            return {"part": name, "whole": _rend(A, fn(A, xs)),
-                    "intersection": _rend(A, inter)}
-    return None
-
-
-def _p433(A, xs):
-    gen = _gen_filter(A, xs)
-    if _d_mult_right(A, gen) != _d_mult_right(A, xs):
-        return {"generated": _rend(A, gen),
-                "right-of-generated": _rend(A, _d_mult_right(A, gen)),
-                "right-of-X": _rend(A, _d_mult_right(A, xs))}
-    return None
-
-
-def _p434(A, xs):
-    is_bot_only = set(xs) == {A.bot}
-    zero = frozenset((A.bot,))
-    shape = (
-        _d_mult_left(A, xs) == frozenset(range(A.n))
-        and _d_mult_right(A, xs) == zero
-        and _d_mult_stab(A, xs) == zero
-    )
-    if is_bot_only != shape:
-        return {"left": _rend(A, _d_mult_left(A, xs)),
-                "right": _rend(A, _d_mult_right(A, xs))}
+def _p434(A, X):
+    zero = singleton(A, A.bot)
+    left, right = mult_left(A, X), mult_right(A, X)
+    shape = left == full(A) and right == zero and mult_stab(A, X) == zero
+    if (X == zero) != shape:
+        return {"left": left.render(), "right": right.render()}
     return None
 
 
 def _p435(A):
-    xs = (A.top,)
-    expect = frozenset((A.top,))
-    right = _d_mult_right(A, xs)
-    left = _d_mult_left(A, xs)
-    stab = _d_mult_stab(A, xs)
-    if right != expect or left != expect or stab != expect:
-        return False, {"right-of-top": _rend(A, right),
-                       "left-of-top": _rend(A, left),
-                       "stab-of-top": _rend(A, stab)}, 1
+    X = singleton(A, A.top)
+    right, left, stab = mult_right(A, X), mult_left(A, X), mult_stab(A, X)
+    if right != X or left != X or stab != X:
+        return False, {"right-of-top": right.render(),
+                       "left-of-top": left.render(),
+                       "stab-of-top": stab.render()}, 1
     return True, None, 1
 
 
-def _p436(A, xs):
-    stab = _d_mult_stab(A, xs)
-    if stab != frozenset(xs):
-        return {"stab": _rend(A, stab)}
+def _p436(A, X):
+    stab = mult_stab(A, X)
+    return None if stab == X else {"stab": stab.render()}
+
+
+def _p438(A, X):
+    for name, op in (("right", mult_right), ("left", mult_left)):
+        w = _closure_witness(A, op(A, X), ("join", "mul"))
+        if w is not None:
+            return {"part": name, **w}
     return None
 
 
-def _p436_documented(A):
-    try:
-        xs = (A.index("a"), A.index("b"))
-    except KeyError:
-        return None
-    w = _p436(A, xs)
-    if w is not None:
-        w["X"] = _rend(A, xs)
-    return w
-
-
-def _p437(A, xs):
-    if not _d_filter(A, _d_mult_left(A, xs)):
-        return {"left": _rend(A, _d_mult_left(A, xs))}
-    return None
-
-
-def _p438(A, xs):
-    for name, fn in (("right", _d_mult_right), ("left", _d_mult_left)):
-        s = fn(A, xs)
-        for a in s:
-            for b in s:
-                for opname, table in (("join", A.join), ("mul", A.mul)):
-                    if table[a][b] not in s:
-                        return {"part": name, "a": A.labels[a],
-                                "b": A.labels[b], "op": opname}
-    return None
-
-
-def _p439(A, xs):
-    for a in _d_impl_right(A, xs) & _d_mult_right(A, xs):
-        for x in xs:
+def _p439(A, X):
+    for a in impl_right(A, X) & mult_right(A, X):
+        for x in X:
             if not (A.mul[x][A.imp[x][a]] == a and A.mul[a][x] == a):
                 return {"side": "right", "a": A.labels[a], "x": A.labels[x]}
-    for a in _d_impl_left(A, xs) & _d_mult_left(A, xs):
-        for x in xs:
+    for a in impl_left(A, X) & mult_left(A, X):
+        for x in X:
             if not (A.mul[a][A.imp[a][x]] == x and A.mul[a][x] == x):
                 return {"side": "left", "a": A.labels[a], "x": A.labels[x]}
     return None
 
 
-def _p4310(A, xs):
-    for a in _d_impl_right(A, xs) & _d_mult_right(A, xs):
-        if not all(A.meet[x][a] == a for x in xs):
+def _p4310(A, X):
+    for a in impl_right(A, X) & mult_right(A, X):
+        if not all(A.meet[x][a] == a for x in X):
             return {"side": "right", "a": A.labels[a]}
-    for a in _d_impl_left(A, xs) & _d_mult_left(A, xs):
-        if not all(A.meet[a][x] == x for x in xs):
+    for a in impl_left(A, X) & mult_left(A, X):
+        if not all(A.meet[a][x] == x for x in X):
             return {"side": "left", "a": A.labels[a]}
     return None
 
 
-def _p46(A, xs):
-    if not _d_lattice_ideal(A, _d_mult_right(A, xs)):
-        return {"right": _rend(A, _d_mult_right(A, xs))}
-    return None
+def _p46(A, X):
+    right = mult_right(A, X)
+    return None if is_lattice_ideal(A, right) else {"right": right.render()}
 
 
 # -- induced-structure claims ------------------------------------------------
@@ -633,7 +525,8 @@ def _t411(A):
     checked = 0
     for x in A.idempotents():
         checked += 1
-        if len(_d_mult_right(A, (x,))) != len(_d_impl_right(A, (x,))):
+        X = singleton(A, x)
+        if len(mult_right(A, X)) != len(impl_right(A, X)):
             return False, {"x": A.labels[x], "reason": "size mismatch"}, checked
         try:
             order_iso_right(A, x)
@@ -653,40 +546,22 @@ def _t412(A):
     return True, None, checked
 
 
-def _godel_left_upsets(A) -> bool:
-    return all(
-        _d_mult_left(A, (x,))
-        == frozenset(y for y in range(A.n) if A.meet[x][y] == x)
-        for x in range(A.n)
-    )
-
-
-def _godel_right_downsets(A) -> bool:
-    return all(
-        _d_mult_right(A, (x,))
-        == frozenset(y for y in range(A.n) if A.meet[y][x] == y)
-        for x in range(A.n)
-    )
-
-
 def _godel_chain_left(A) -> bool:
-    if not _godel_left_upsets(A):
+    if not godel_by_left_stabilizers(A):
         return False
     for x in range(A.n):
-        lx = from_elements(A, _d_mult_left(A, (x,)))
+        lx = mult_left(A, singleton(A, x))
         if is_proper_filter(A, lx) and not is_prime_filter(A, lx):
             return False
     return True
 
 
 def _godel_chain_right(A) -> bool:
-    if not _godel_right_downsets(A):
+    if not godel_by_right_stabilizers(A):
         return False
     for x in range(A.n):
-        rx = from_elements(A, _d_mult_right(A, (x,)))
-        if not _d_lattice_ideal(A, frozenset(rx.members())):
-            return False
-        if not is_prime_lattice_ideal(A, rx):
+        rx = mult_right(A, singleton(A, x))
+        if not (is_lattice_ideal(A, rx) and is_prime_lattice_ideal(A, rx)):
             return False
     return True
 
@@ -732,14 +607,14 @@ def _build_registry() -> dict[str, Claim]:
 
     claims.append(Claim("P3.4.1",
                         "stabilizers of a set are intersections over singletons",
-                        _subset_claim(_p341)))
+                        _cross_route("imp", impl_left, impl_right)))
     claims.append(Claim("P3.4.2", "stabilizers are antitone in the subset",
-                        _antitone_check((("left", _d_impl_left),
-                                         ("right", _d_impl_right),
-                                         ("stab", _d_impl_stab)))))
+                        _antitone_check((("left", impl_left),
+                                         ("right", impl_right),
+                                         ("stab", impl_stab)))))
     claims.append(Claim("P3.4.3",
                         "right stabilizer is blind to filter generation",
-                        _subset_claim(_p343)))
+                        _blind_to_generation(impl_right)))
     claims.append(Claim("P3.4.4",
                         "all three stabilizers are everything only for {top}",
                         _subset_claim(_p344)))
@@ -752,7 +627,7 @@ def _build_registry() -> dict[str, Claim]:
                         "right stabilizers are closed under meet, imp, join",
                         _subset_claim(_p347)))
     claims.append(Claim("P3.4.8", "left stabilizers are filters",
-                        _subset_claim(_p348)))
+                        _left_is_filter(impl_left)))
     claims.append(Claim("P3.4.9",
                         "generated filter meets right stabilizer in {top}",
                         _subset_claim(_p349)))
@@ -776,7 +651,7 @@ def _build_registry() -> dict[str, Claim]:
                         "involutive negation matches the bot-stabilizer shape",
                         _bundle_claim((
                             ("involutive", is_imtl),
-                            ("bot-stabs-agree", _cond_bot_stabs_agree),
+                            ("bot-stabs-agree", imtl_by_stabilizers),
                             ("residua-in-L0-force-equality",
                              _t310_membership_cond),
                         ))))
@@ -784,7 +659,7 @@ def _build_registry() -> dict[str, Claim]:
                         "no zero divisors matches left-stab of bot",
                         _bundle_claim((
                             ("no-zero-divisors", is_integral_mtl),
-                            ("L0-is-everything-but-bot", _t311_l0_cond),
+                            ("L0-is-everything-but-bot", integral_by_stabilizers),
                         ))))
     claims.append(Claim("T3.15-mv",
                         "on MV algebras all four stabilizers coincide",
@@ -794,7 +669,7 @@ def _build_registry() -> dict[str, Claim]:
                         _bundle_claim((
                             ("mv", is_mv),
                             ("all-stabs-coann", _cond_all_stabs_coann),
-                            ("bot-stabs-agree", _cond_bot_stabs_agree),
+                            ("bot-stabs-agree", imtl_by_stabilizers),
                             ("left-of-generated", _cond_left_of_generated),
                             ("exchange-fixpoints", _cond_exchange_fixpoints),
                             ("right-always-filter", _cond_right_always_filter),
@@ -807,18 +682,18 @@ def _build_registry() -> dict[str, Claim]:
     claims.append(Claim("Q-godel-xr-union-subalg",
                         "right stabilizer plus bot is a subalgebra",
                         _subset_claim(_q_subalg), applies=is_godel,
-                        expected="refutable", documented=_q_documented))
+                        expected="refutable", documented=_documented_at(("b",), _q_subalg)))
 
     claims.append(Claim("P4.3.1",
                         "mul stabilizers of a set are intersections over"
-                        " singletons", _subset_claim(_p431)))
+                        " singletons", _cross_route("mul", mult_left, mult_right)))
     claims.append(Claim("P4.3.2", "mul stabilizers are antitone in the subset",
-                        _antitone_check((("left", _d_mult_left),
-                                         ("right", _d_mult_right),
-                                         ("stab", _d_mult_stab)))))
+                        _antitone_check((("left", mult_left),
+                                         ("right", mult_right),
+                                         ("stab", mult_stab)))))
     claims.append(Claim("P4.3.3",
                         "right mul stabilizer is blind to filter generation",
-                        _subset_claim(_p433)))
+                        _blind_to_generation(mult_right)))
     claims.append(Claim("P4.3.4",
                         "the {bot} shape (left everything, right {bot})"
                         " characterizes {bot}", _subset_claim(_p434)))
@@ -827,9 +702,9 @@ def _build_registry() -> dict[str, Claim]:
                         _p435, expected="refutable"))
     claims.append(Claim("P4.3.6", "the two-sided mul stabilizer returns X",
                         _subset_claim(_p436), expected="refutable",
-                        documented=_p436_documented))
+                        documented=_documented_at(("a", "b"), _p436)))
     claims.append(Claim("P4.3.7", "left mul stabilizers are filters",
-                        _subset_claim(_p437)))
+                        _left_is_filter(mult_left)))
     claims.append(Claim("P4.3.8",
                         "mul stabilizers are closed under join and mul",
                         _subset_claim(_p438)))
@@ -858,8 +733,8 @@ def _build_registry() -> dict[str, Claim]:
                         "idempotent mul matches upset/downset stabilizers",
                         _bundle_claim((
                             ("mul-is-meet", is_godel),
-                            ("left-stabs-are-upsets", _godel_left_upsets),
-                            ("right-stabs-are-downsets", _godel_right_downsets),
+                            ("left-stabs-are-upsets", godel_by_left_stabilizers),
+                            ("right-stabs-are-downsets", godel_by_right_stabilizers),
                         ))))
     claims.append(Claim("T4.10-godel-chain",
                         "linear idempotent algebras match prime stabilizers",
@@ -944,8 +819,7 @@ DIVERGENCES = (
     Divergence("c5", ("a", "c"), "mult_right", ("0", "a", "c")),
 )
 
-_OPS = {"mult_left": _d_mult_left, "mult_right": _d_mult_right,
-        "mult_stab": _d_mult_stab}
+_OPS = dict(SUITE_ORDER)
 
 
 def _same_tables(A: FiniteMtlAlgebra, B: FiniteMtlAlgebra) -> bool:
@@ -963,14 +837,14 @@ def documented_divergences(A: FiniteMtlAlgebra) -> list[dict[str, str]]:
     for div in DIVERGENCES:
         if div.fixture not in matching:
             continue
-        xs = tuple(A.index(lbl) for lbl in div.subset_labels)
-        computed = _OPS[div.op](A, xs)
-        reported = frozenset(A.index(lbl) for lbl in div.reported_labels)
+        X = from_labels(A, div.subset_labels)
+        computed = _OPS[div.op](A, X)
+        reported = from_labels(A, div.reported_labels)
         records.append({
-            "X": _rend(A, xs),
+            "X": X.render(),
             "op": div.op,
-            "computed": _rend(A, computed),
-            "reported": _rend(A, reported),
+            "computed": computed.render(),
+            "reported": reported.render(),
             "match": "true" if computed == reported else "false",
         })
     return records

@@ -87,7 +87,7 @@ def _cmd_stab(args) -> tuple[Report, int]:
     try:
         X = from_labels(A, args.set)
     except KeyError as exc:
-        raise _InputError(str(exc)) from exc
+        raise _InputError(exc.args[0]) from exc
     if X.is_empty():
         raise _InputError("--set must name at least one element")
     report.extend(stabilizer_suite(A, X))
@@ -188,13 +188,13 @@ def _cmd_gen(args) -> tuple[Report, int]:
     report = Report()
     report.add("gen", "family", args.family)
     report.add("gen", "size", str(args.size))
-    canon = canonical_form(A).hex() if A.n <= 10 else "-"
-    report.add("algebra", A.name, canon)
+    try:
+        canon_hex = [canonical_form(A).hex()]
+    except SizeRangeError:      # beyond enumeration scale: no canon header
+        canon_hex = []
+    report.add("algebra", A.name, canon_hex[0] if canon_hex else "-")
     if args.out:
-        if A.n <= 10:
-            _write_corpus(args.out, [A], [canon])
-        else:
-            Path(args.out).write_text(algfile.serialize_algebra(A))
+        _write_corpus(args.out, [A], canon_hex)
         report.add("gen", "written", args.out)
     return report, 0
 
@@ -275,9 +275,12 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-        args.jobs = default_jobs()
     try:
+        if hasattr(args, "jobs"):
+            if args.jobs is None:
+                args.jobs = default_jobs()
+            elif args.jobs < 1:
+                raise _InputError("--jobs must be at least 1")
         report, code = args.fn(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 import pytest
 
 from mtlstab import fixtures as fixtures_module
-from mtlstab import from_labels, mult_stab
+from mtlstab import from_labels, impl_left, mult_right, mult_stab, singleton
 from mtlstab.claims import (
     UnknownClaimError,
     claim_ids,
@@ -151,3 +151,25 @@ def test_refutations_on_enumerated_corpus():
             assert is_imtl(A) != imtl_by_stabilizers(A)
             seen_t310_split = True
     assert seen_t310_split
+
+
+@pytest.mark.parametrize("claim_id,op,part", [
+    ("P3.4.1", impl_left, "left"),
+    ("P4.3.1", mult_right, "right"),
+])
+def test_cross_route_catches_corrupted_singleton_mask(claim_id, op, part):
+    # A fresh validated copy, so the shared session fixtures keep their caches.
+    A = fixtures_module.load_fixture("a4")
+    zero = singleton(A, A.bot)
+    literal = op(A, zero)
+    assert verify_claim(A, claim_id).verdict == "holds"
+    masks = list(A._mask_cache()[op.__name__])
+    masks[A.bot] ^= 1 << A.top
+    A._mask_cache()[op.__name__] = tuple(masks)
+    corrupted = op(A, zero)
+    assert corrupted.bits == literal.bits ^ 1 << A.top
+    outcome = verify_claim(A, claim_id)
+    assert outcome.verdict == "refuted"
+    assert outcome.witness == {"part": part, "whole": literal.render(),
+                               "intersection": corrupted.render(),
+                               "X": zero.render()}

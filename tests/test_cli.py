@@ -167,3 +167,33 @@ def test_gen_roundtrip(tmp_path):
 
 def test_gen_unknown_family_exits_2():
     assert cli_main(["gen", "--family", "bogus", "--size", "4"]) == 2
+
+
+def test_jobs_below_one_exits_2(fixture_file, capsys):
+    for argv in (["verify", fixture_file("a4")],
+                 ["enumerate", "--size", "3"],
+                 ["search", "--problem", "1", "--size", "3"]):
+        for jobs in ("0", "-4"):
+            assert cli_main(argv + ["--jobs", jobs]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --jobs must be at least 1\n"
+
+
+def test_stab_unknown_label_message_is_unquoted(fixture_file, capsys):
+    assert cli_main(["stab", fixture_file("a4"), "--set", "b,zz"]) == 2
+    assert capsys.readouterr().err == "error: unknown element label 'zz'\n"
+
+
+def test_gen_beyond_canonical_range_writes_plain_file(tmp_path):
+    out_path = tmp_path / "luk11.alg"
+    code, out = run_cli(["gen", "--family", "lukasiewicz", "--size", "11",
+                         "--out", str(out_path), "--format", "machine"])
+    assert code == 0
+    (record,) = [line for line in out.splitlines()
+                 if line.startswith("algebra\t")]
+    assert record.endswith("\t-")
+    text = out_path.read_text()
+    assert "# canon:" not in text
+    (A,) = parse_corpus(text)
+    assert A.n == 11 and validate(A).valid

@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable
 
-from .core import FiniteMtlAlgebra, InternalConsistencyError, require_validated
+from .core import (FiniteMtlAlgebra, InternalConsistencyError, _BASIC_IDENTITIES,
+                   require_validated)
 from .classify import (
+    _godel_chain_left,
+    _godel_chain_right,
     godel_by_left_stabilizers,
     godel_by_right_stabilizers,
     godel_chain_by_stabilizers,
@@ -46,15 +50,15 @@ from .induced import (
     right_mult_algebra,
 )
 from .order import (
+    _center_identity,
+    _first_escape,
     all_filters,
     generated_filter,
     is_filter,
     is_lattice_ideal,
-    is_prime_filter,
-    is_prime_lattice_ideal,
-    is_proper_filter,
     subalgebra_violation,
 )
+from .search import open2_premise
 from .stabilizers import (
     SUITE_ORDER,
     impl_left,
@@ -118,13 +122,14 @@ def _subset_domain(A) -> list[int]:
 # ---------------------------------------------------------------------------
 # Check builders.
 
-def _tuple_claim(arity: int, pred, render):
+def _tuple_claim(arity: int, pred):
+    """pred(A, *tup) on every element tuple; the witness names x, y, z."""
     def check(A):
         count = 0
         for tup in product(range(A.n), repeat=arity):
             count += 1
             if not pred(A, *tup):
-                return False, render(A, *tup), count
+                return False, {v: A.labels[t] for v, t in zip("xyz", tup)}, count
         return True, None, count
     return check
 
@@ -249,14 +254,12 @@ def _documented_at(labels: tuple[str, ...], pred):
 
 
 def _closure_witness(A, S: Subset, ops: tuple[str, ...]):
-    """First (a, b, op) in S x S x ops whose result leaves S, or None."""
-    tables = [(opname, getattr(A, opname)) for opname in ops]
-    for a in S:
-        for b in S:
-            for opname, table in tables:
-                if table[a][b] not in S:
-                    return {"a": A.labels[a], "b": A.labels[b], "op": opname}
-    return None
+    """The first (a, b, op) in S x S x ops whose result leaves S, or None."""
+    escape = _first_escape(A, S, ops)
+    if escape is None:
+        return None
+    op, a, b, _ = escape
+    return {"a": A.labels[a], "b": A.labels[b], "op": op}
 
 
 def _subalgebra_witness(A, S: Subset):
@@ -273,30 +276,8 @@ def _subalgebra_witness(A, S: Subset):
 
 # -- basic identities -------------------------------------------------------
 
-def _pair_witness(A, x, y):
-    return {"x": A.labels[x], "y": A.labels[y]}
-
-
-def _triple_witness(A, x, y, z):
-    return {"x": A.labels[x], "y": A.labels[y], "z": A.labels[z]}
-
-
-_BASIC_IDENTITIES = {
-    "P2.2.1": (2, lambda A, x, y: (A.meet[x][y] == x) == (A.imp[x][y] == A.top)),
-    "P2.2.2": (2, lambda A, x, y: A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y]),
-    "P2.2.3": (3, lambda A, x, y, z:
-               A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]]),
-    "P2.2.4": (3, lambda A, x, y, z:
-               A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]]),
-    "P2.2.5": (2, lambda A, x, y: A.imp[x][y] == A.imp[x][A.meet[x][y]]),
-    "P2.2.6": (2, lambda A, x, y: A.imp[x][y] == A.imp[A.join[x][y]][y]),
-    "P2.2.7": (3, lambda A, x, y, z:
-               A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]]),
-    "P2.2.8": (2, lambda A, x, y: A.join[x][y]
-               == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]),
-    "P2.2.9": (2, lambda A, x, y: A.meet[x][A.imp[y][x]] == x),
-    "P2.2.10": (1, lambda A, x: A.imp[x][A.bot]
-                == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot]),
+_IDENTITY_CLAIMS = {
+    **{f"P2.2.{item}": spec for item, spec in _BASIC_IDENTITIES.items()},
     # Cited in the surrounding development but absent from the list of ten.
     "P2.2.11": (1, lambda A, x: A.mul[x][A.imp[x][A.bot]] == A.bot),
     "P2.2.12": (2, lambda A, x, y: A.meet[x][A.imp[A.imp[x][y]][y]] == x),
@@ -378,13 +359,6 @@ def _cond_exchange_fixpoints(A) -> bool:
     return all(
         (A.imp[a][b] == b) == (A.imp[b][a] == a)
         for a, b in product(range(A.n), repeat=2)
-    )
-
-
-def _cond_singleton_stabs_agree(A) -> bool:
-    return all(
-        impl_left(A, singleton(A, x)) == impl_right(A, singleton(A, x))
-        for x in range(A.n)
     )
 
 
@@ -546,26 +520,6 @@ def _t412(A):
     return True, None, checked
 
 
-def _godel_chain_left(A) -> bool:
-    if not godel_by_left_stabilizers(A):
-        return False
-    for x in range(A.n):
-        lx = mult_left(A, singleton(A, x))
-        if is_proper_filter(A, lx) and not is_prime_filter(A, lx):
-            return False
-    return True
-
-
-def _godel_chain_right(A) -> bool:
-    if not godel_by_right_stabilizers(A):
-        return False
-    for x in range(A.n):
-        rx = mult_right(A, singleton(A, x))
-        if not (is_lattice_ideal(A, rx) and is_prime_lattice_ideal(A, rx)):
-            return False
-    return True
-
-
 def _not_evaluable(A):
     return True, None, 0
 
@@ -576,11 +530,8 @@ def _not_evaluable(A):
 def _build_registry() -> dict[str, Claim]:
     claims: list[Claim] = []
 
-    for cid, (arity, pred) in _BASIC_IDENTITIES.items():
-        render = {1: lambda A, x: {"x": A.labels[x]},
-                  2: _pair_witness, 3: _triple_witness}[arity]
-        claims.append(Claim(cid, _BASIC_STATEMENTS[cid],
-                            _tuple_claim(arity, pred, render)))
+    for cid, (arity, pred) in _IDENTITY_CLAIMS.items():
+        claims.append(Claim(cid, _BASIC_STATEMENTS[cid], _tuple_claim(arity, pred)))
 
     def p241(A):
         idems = A.idempotents()
@@ -591,14 +542,11 @@ def _build_registry() -> dict[str, Claim]:
 
     def p242(A):
         count = 0
-        for e in A.idempotents():
-            for x, y in product(range(A.n), repeat=2):
-                count += 1
-                lhs = A.mul[e][A.imp[x][y]]
-                rhs = A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]]
-                if lhs != rhs:
-                    return False, {"e": A.labels[e], "x": A.labels[x],
-                                   "y": A.labels[y]}, count
+        for e, x, y in product(A.idempotents(), range(A.n), range(A.n)):
+            count += 1
+            if not _center_identity(A, e, x, y):
+                return False, {"e": A.labels[e], "x": A.labels[x],
+                               "y": A.labels[y]}, count
         return True, None, count
 
     claims.append(Claim("P2.4.1", "center members are idempotent", p241))
@@ -637,7 +585,7 @@ def _build_registry() -> dict[str, Claim]:
                             ("left-of-generated", _cond_left_of_generated),
                             ("exchange-fixpoints", _cond_exchange_fixpoints),
                             ("right-always-filter", _cond_right_always_filter),
-                            ("singleton-stabs-agree", _cond_singleton_stabs_agree),
+                            ("singleton-stabs-agree", open2_premise),
                             ("left-right-equal", _cond_left_right_equal),
                         ))))
 
@@ -673,7 +621,7 @@ def _build_registry() -> dict[str, Claim]:
                             ("left-of-generated", _cond_left_of_generated),
                             ("exchange-fixpoints", _cond_exchange_fixpoints),
                             ("right-always-filter", _cond_right_always_filter),
-                            ("singleton-stabs-agree", _cond_singleton_stabs_agree),
+                            ("singleton-stabs-agree", open2_premise),
                         )), applies=is_bl))
     claims.append(Claim("P3.17-rs",
                         "if every filter is its own double right stabilizer,"
@@ -784,18 +732,7 @@ def verify_claim(A: FiniteMtlAlgebra, claim_id: str) -> ClaimOutcome:
 
 
 def verify_all(A: FiniteMtlAlgebra, jobs: int = 1) -> list[ClaimOutcome]:
-    ids = claim_ids()
-    return pmap(_VerifyTask(A), ids, jobs)
-
-
-class _VerifyTask:
-    """Picklable single-claim verification, for worker pools."""
-
-    def __init__(self, algebra: FiniteMtlAlgebra):
-        self.algebra = algebra
-
-    def __call__(self, claim_id: str) -> ClaimOutcome:
-        return verify_claim(self.algebra, claim_id)
+    return pmap(partial(verify_claim, A), claim_ids(), jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +743,8 @@ class _VerifyTask:
 # filter generated by {b} is {b,1}, whose left implicative stabilizer is that
 # of {b}; in m6 mul(a,a) = b, so {a,1} is not a filter (it generates
 # {a,b,1}).  verify reports both values with a mismatch flag whenever the
-# algebra at hand is one of the affected fixtures.
+# algebra at hand is one of the affected fixtures, with its elements listed
+# in any order.
 
 @dataclass(frozen=True)
 class Divergence:
@@ -829,8 +767,16 @@ _OPS = dict(SUITE_ORDER, generated_filter=generated_filter)
 
 
 def _same_tables(A: FiniteMtlAlgebra, B: FiniteMtlAlgebra) -> bool:
-    return (A.labels == B.labels and A.mul == B.mul and A.imp == B.imp
-            and A.bot == B.bot and A.top == B.top)
+    """A and B are the same algebra up to the order of their carriers: the
+    same labels, bot and top, and equal mul and imp under the label map."""
+    if sorted(A.labels) != sorted(B.labels):
+        return False
+    to_b = [B.labels.index(label) for label in A.labels]
+    if to_b[A.bot] != B.bot or to_b[A.top] != B.top:
+        return False
+    return all(to_b[a_table[x][y]] == b_table[to_b[x]][to_b[y]]
+               for a_table, b_table in ((A.mul, B.mul), (A.imp, B.imp))
+               for x in range(A.n) for y in range(A.n))
 
 
 def documented_divergences(A: FiniteMtlAlgebra) -> list[dict[str, str]]:

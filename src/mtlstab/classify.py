@@ -11,7 +11,8 @@ from __future__ import annotations
 from itertools import product
 
 from .core import FiniteMtlAlgebra, require_validated
-from .order import is_prime_filter, is_prime_lattice_ideal, is_proper_filter
+from .order import (is_lattice_ideal, is_prime_filter, is_prime_lattice_ideal,
+                    is_proper_filter)
 from .report import Report
 from .stabilizers import impl_left, impl_stab, mult_left, mult_right, ortho
 from .subsets import Subset, full, singleton
@@ -97,18 +98,31 @@ def godel_by_right_stabilizers(A: FiniteMtlAlgebra) -> bool:
     )
 
 
-def godel_chain_by_stabilizers(A: FiniteMtlAlgebra) -> bool:
-    """Upset/downset equalities plus primality of every one-point stabilizer."""
-    if not (godel_by_left_stabilizers(A) and godel_by_right_stabilizers(A)):
+def _godel_chain_left(A: FiniteMtlAlgebra) -> bool:
+    """Left stabilizers are upsets, and each proper one is a prime filter."""
+    if not godel_by_left_stabilizers(A):
         return False
     for x in range(A.n):
         lx = mult_left(A, singleton(A, x))
         if is_proper_filter(A, lx) and not is_prime_filter(A, lx):
             return False
+    return True
+
+
+def _godel_chain_right(A: FiniteMtlAlgebra) -> bool:
+    """Right stabilizers are downsets, and each is a prime lattice ideal."""
+    if not godel_by_right_stabilizers(A):
+        return False
+    for x in range(A.n):
         rx = mult_right(A, singleton(A, x))
-        if not is_prime_lattice_ideal(A, rx):
+        if not (is_lattice_ideal(A, rx) and is_prime_lattice_ideal(A, rx)):
             return False
     return True
+
+
+def godel_chain_by_stabilizers(A: FiniteMtlAlgebra) -> bool:
+    """Upset/downset equalities plus primality of every one-point stabilizer."""
+    return _godel_chain_left(A) and _godel_chain_right(A)
 
 
 _CROSS_CHECKS = (

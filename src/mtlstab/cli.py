@@ -174,8 +174,8 @@ def _cmd_search(args) -> tuple[Report, int]:
             findings.extend(open3_scan(A))
     for finding in findings:
         detail = "; ".join(f"{k}={v}" for k, v in finding.witness.items())
-        name = finding.algebra.name or canonical_form(finding.algebra).hex()
-        report.add_failure("finding", finding.problem, f"{name}: {detail}")
+        report.add_failure("finding", finding.problem,
+                           f"{finding.algebra.name}: {detail}")
     report.add("search", "findings", str(len(findings)))
     return report, 0 if not findings else 1
 

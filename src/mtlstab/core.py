@@ -86,27 +86,32 @@ class FiniteMtlAlgebra:
             object.__setattr__(self, "_masks", cache)
         return cache
 
-    def upset_mask(self, x: int) -> int:
+    def _fixed_masks(self, key: str, fixed) -> tuple[int, ...]:
+        """Per-element bitmasks, cached under `key`: bit a of masks[x] is set
+        when fixed(a, x)."""
         cache = self._mask_cache()
-        masks = cache.get("up")
+        masks = cache.get(key)
         if masks is None:
-            masks = tuple(
-                sum(1 << y for y in range(self.n) if self.meet[x_][y] == x_)
-                for x_ in range(self.n)
-            )
-            cache["up"] = masks
-        return masks[x]
+            masks = tuple(sum(1 << a for a in range(self.n) if fixed(a, x))
+                          for x in range(self.n))
+            cache[key] = masks
+        return masks
+
+    def upset_mask(self, x: int) -> int:
+        return _upsets(self)[x]
 
     def downset_mask(self, x: int) -> int:
-        cache = self._mask_cache()
-        masks = cache.get("down")
-        if masks is None:
-            masks = tuple(
-                sum(1 << y for y in range(self.n) if self.meet[y][x_] == y)
-                for x_ in range(self.n)
-            )
-            cache["down"] = masks
-        return masks[x]
+        return _downsets(self)[x]
+
+
+def _upsets(A: FiniteMtlAlgebra) -> tuple[int, ...]:
+    """Bit y of _upsets(A)[x] is set when x <= y."""
+    return A._fixed_masks("up", lambda y, x: A.meet[x][y] == x)
+
+
+def _downsets(A: FiniteMtlAlgebra) -> tuple[int, ...]:
+    """Bit y of _downsets(A)[x] is set when y <= x."""
+    return A._fixed_masks("down", lambda y, x: A.meet[y][x] == y)
 
 
 @dataclass(frozen=True)
@@ -234,10 +239,6 @@ AXIOMS = (
 )
 
 
-def _leq(A: FiniteMtlAlgebra, x: int, y: int) -> bool:
-    return A.meet[x][y] == x
-
-
 def validate(A: FiniteMtlAlgebra) -> ValidationReport:
     """Check every axiom over all tuples; accumulate all violations.
 
@@ -351,38 +352,27 @@ def power(A: FiniteMtlAlgebra, x: int, k: int) -> int:
     return acc
 
 
-# The ten basic identities that hold in every MTL-algebra, as checkers
-# returning a violating tuple or None.  Items 11 and 12 are two further
-# identities that the surrounding development relies on even though they are
-# not part of the canonical list of ten; they live in the claim registry.
-def _basic_identity_checks(A: FiniteMtlAlgebra):
-    n, meet, join, mul, imp, top, bot = A.n, A.meet, A.join, A.mul, A.imp, A.top, A.bot
-    rng = range(n)
-
-    def pairs(pred):
-        for x, y in product(rng, rng):
-            if not pred(x, y):
-                return (x, y)
-        return None
-
-    def triples(pred):
-        for x, y, z in product(rng, rng, rng):
-            if not pred(x, y, z):
-                return (x, y, z)
-        return None
-
-    yield "1", pairs(lambda x, y: (meet[x][y] == x) == (imp[x][y] == top))
-    yield "2", pairs(lambda x, y: meet[mul[x][y]][meet[x][y]] == mul[x][y])
-    yield "3", triples(lambda x, y, z: imp[x][meet[y][z]] == meet[imp[x][y]][imp[x][z]])
-    yield "4", triples(lambda x, y, z: imp[join[x][y]][z] == meet[imp[x][z]][imp[y][z]])
-    yield "5", pairs(lambda x, y: imp[x][y] == imp[x][meet[x][y]])
-    yield "6", pairs(lambda x, y: imp[x][y] == imp[join[x][y]][y])
-    yield "7", triples(lambda x, y, z: imp[meet[x][y]][z] == join[imp[x][z]][imp[y][z]])
-    yield "8", pairs(lambda x, y: join[x][y]
-                     == meet[imp[imp[x][y]][y]][imp[imp[y][x]][x]])
-    yield "9", pairs(lambda x, y: meet[x][imp[y][x]] == x)
-    yield "10", (next(((x,) for x in rng
-                       if imp[x][bot] != imp[imp[imp[x][bot]][bot]][bot]), None))
+# The ten basic identities that hold in every MTL-algebra, by item number,
+# as (arity, predicate on A and an element tuple).  The claim registry reads
+# them as P2.2.1-P2.2.10 and adds items 11 and 12 there: two identities that
+# the surrounding development relies on but that are not in the list of ten.
+_BASIC_IDENTITIES = {
+    "1": (2, lambda A, x, y: (A.meet[x][y] == x) == (A.imp[x][y] == A.top)),
+    "2": (2, lambda A, x, y: A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y]),
+    "3": (3, lambda A, x, y, z:
+          A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]]),
+    "4": (3, lambda A, x, y, z:
+          A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]]),
+    "5": (2, lambda A, x, y: A.imp[x][y] == A.imp[x][A.meet[x][y]]),
+    "6": (2, lambda A, x, y: A.imp[x][y] == A.imp[A.join[x][y]][y]),
+    "7": (3, lambda A, x, y, z:
+          A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]]),
+    "8": (2, lambda A, x, y: A.join[x][y]
+          == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]),
+    "9": (2, lambda A, x, y: A.meet[x][A.imp[y][x]] == x),
+    "10": (1, lambda A, x: A.imp[x][A.bot]
+           == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot]),
+}
 
 
 def check_basic_identities(A: FiniteMtlAlgebra):
@@ -396,7 +386,9 @@ def check_basic_identities(A: FiniteMtlAlgebra):
 
     require_validated(A)
     report = Report()
-    for item, witness in _basic_identity_checks(A):
+    for item, (arity, pred) in _BASIC_IDENTITIES.items():
+        witness = next((tup for tup in product(range(A.n), repeat=arity)
+                        if not pred(A, *tup)), None)
         if witness is None:
             report.add("identity", item, "holds")
         else:

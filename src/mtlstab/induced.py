@@ -57,13 +57,13 @@ class InducedAlgebra:
                 and self.report.valid)
 
 
-def _restrict(A: FiniteMtlAlgebra, members: tuple[int, ...], table, name: str,
+def _restrict(pos: dict[int, int], table, name: str,
               violations: list) -> list[list[int]] | None:
-    pos = {e: i for i, e in enumerate(members)}
+    """`table` on the carrier whose element e sits at position pos[e]."""
     rows = []
-    for a in members:
+    for a in pos:
         row = []
-        for b in members:
+        for b in pos:
             r = table[a][b]
             if r not in pos:
                 violations.append((name, a, b, r))
@@ -74,7 +74,7 @@ def _restrict(A: FiniteMtlAlgebra, members: tuple[int, ...], table, name: str,
 
 
 def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
-           imp_formula) -> InducedAlgebra:
+           imp_table) -> InducedAlgebra:
     members = carrier.members()
     result = InducedAlgebra(parent=A, carrier=carrier, embed=members, algebra=None)
     if len(members) < 2:
@@ -89,28 +89,14 @@ def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
     if result.closure_violations:
         return result
     violations = result.closure_violations
-    mul = _restrict(A, members, A.mul, "mul", violations)
-    meet = _restrict(A, members, A.meet, "meet", violations)
-    join = _restrict(A, members, A.join, "join", violations)
-    imp_rows = None
-    if not violations:
-        imp_rows = []
-        for a in members:
-            row = []
-            for b in members:
-                r = imp_formula(a, b)
-                if r not in pos:
-                    violations.append(("imp", a, b, r))
-                    break
-                row.append(pos[r])
-            else:
-                imp_rows.append(row)
-                continue
-            break
+    mul = _restrict(pos, A.mul, "mul", violations)
+    meet = _restrict(pos, A.meet, "meet", violations)
+    join = _restrict(pos, A.join, "join", violations)
+    imp = None if violations else _restrict(pos, imp_table, "imp", violations)
     if violations:
         return result
     result.algebra = construct(
-        len(members), mul, imp_rows, meet, join,
+        len(members), mul, imp, meet, join,
         bot=pos[bot_elt], top=pos[top_elt],
         labels=tuple(A.labels[e] for e in members),
         name=f"{A.name or 'algebra'}|{A.labels[bot_elt]}..{A.labels[top_elt]}",
@@ -125,7 +111,7 @@ def left_mult_algebra(A: FiniteMtlAlgebra, x: int,
     require_validated(A)
     _require_idempotent(A, x, permissive)
     carrier = mult_left(A, singleton(A, x))
-    return _build(A, carrier, x, A.top, lambda a, b: A.imp[a][b])
+    return _build(A, carrier, x, A.top, A.imp)
 
 
 def right_mult_algebra(A: FiniteMtlAlgebra, x: int,
@@ -135,7 +121,15 @@ def right_mult_algebra(A: FiniteMtlAlgebra, x: int,
     require_validated(A)
     _require_idempotent(A, x, permissive)
     carrier = mult_right(A, singleton(A, x))
-    return _build(A, carrier, A.bot, x, lambda a, b: A.mul[x][A.imp[a][b]])
+    imp = [[A.mul[x][r] for r in row] for row in A.imp]
+    return _build(A, carrier, A.bot, x, imp)
+
+
+def _monotone(A: FiniteMtlAlgebra, S: Subset, f) -> bool:
+    """a <= b in S implies f(a) <= f(b)."""
+    members = S.members()
+    return all(A.meet[f(a)][f(b)] == f(a)
+               for a in members for b in members if A.meet[a][b] == a)
 
 
 def order_iso_right(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:
@@ -166,14 +160,10 @@ def order_iso_right(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:
     for u in target.members():
         if A.imp[x][A.mul[x][u]] != u:
             fail("round trip mul-by-x then g is not the identity")
-    for a in source.members():
-        for b in source.members():
-            if A.meet[a][b] == a and A.meet[g[a]][g[b]] != g[a]:
-                fail("map does not preserve order")
-    for u in target.members():
-        for v in target.members():
-            if A.meet[u][v] == u and A.meet[A.mul[x][u]][A.mul[x][v]] != A.mul[x][u]:
-                fail("inverse does not preserve order")
+    if not _monotone(A, source, g.__getitem__):
+        fail("map does not preserve order")
+    if not _monotone(A, target, lambda u: A.mul[x][u]):
+        fail("inverse does not preserve order")
     return g
 
 
@@ -202,19 +192,16 @@ def mv_left_iso(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:
         raise InternalConsistencyError(
             f"composed map is not a bijection at x={A.labels[x]}"
         )
-    for a in left.members():
-        for b in left.members():
-            if A.meet[a][b] == a and A.meet[h[a]][h[b]] != h[a]:
-                raise InternalConsistencyError(
-                    f"composed map does not preserve order at x={A.labels[x]}"
-                )
+    if not _monotone(A, left, h.__getitem__):
+        raise InternalConsistencyError(
+            f"composed map does not preserve order at x={A.labels[x]}"
+        )
     return h
 
 
 def _order_profile(A: FiniteMtlAlgebra, x: int) -> tuple[int, int, bool]:
-    below = sum(1 for y in range(A.n) if A.meet[y][x] == y)
-    above = sum(1 for y in range(A.n) if A.meet[x][y] == x)
-    return (below, above, A.mul[x][x] == x)
+    return (A.downset_mask(x).bit_count(), A.upset_mask(x).bit_count(),
+            A.mul[x][x] == x)
 
 
 def check_mtl_iso(A: FiniteMtlAlgebra, B: FiniteMtlAlgebra) -> dict[int, int] | None:

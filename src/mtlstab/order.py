@@ -8,9 +8,10 @@ carrier) counts as a filter; properness is a predicate, not a type.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
-from .core import FiniteMtlAlgebra, InternalConsistencyError, require_validated
+from .core import (FiniteMtlAlgebra, InternalConsistencyError, _downsets, _upsets,
+                   require_validated)
 from .subsets import Subset, require_nonempty
 
 
@@ -22,31 +23,60 @@ class NotALatticeIdealError(ValueError):
     pass
 
 
-def _upward_closure(A: FiniteMtlAlgebra, bits: int) -> int:
+# One routine each for closure, closedness, generation and primality.  A
+# filter is the (mul, upsets) case and a lattice ideal the (join, downsets)
+# case: `table` is the operation the set must be closed under and `cones[x]`
+# the mask of x's upset or downset.  Primality reads the dual lattice
+# operation, join for filters and meet for ideals.
+
+def _closure(A: FiniteMtlAlgebra, bits: int, cones) -> int:
+    """The union of the cones of the members of `bits`."""
     out = 0
     for x in range(A.n):
         if bits >> x & 1:
-            out |= A.upset_mask(x)
+            out |= cones[x]
     return out
 
 
-def _downward_closure(A: FiniteMtlAlgebra, bits: int) -> int:
-    out = 0
+def _is_closed(A: FiniteMtlAlgebra, S: Subset, table, cones) -> bool:
+    """S is nonempty, closed under `table` and the union of its cones."""
+    require_validated(A)
+    if S.is_empty():
+        return False
+    for x, y in combinations_with_replacement(S.members(), 2):
+        if table[x][y] not in S:
+            return False
+    return _closure(A, S.bits, cones) == S.bits
+
+
+def _generated(A: FiniteMtlAlgebra, X: Subset, table, cones) -> Subset:
+    """The least superset of X closed under `table` and cones, by closing
+    under both to a fixed point."""
+    require_validated(A)
+    require_nonempty(X)
+    bits = _closure(A, X.bits, cones)
+    while True:
+        new = bits
+        members = [x for x in range(A.n) if bits >> x & 1]
+        for x, y in combinations_with_replacement(members, 2):
+            new |= 1 << table[x][y]
+        new = _closure(A, new, cones)
+        if new == bits:
+            return Subset(A, bits)
+        bits = new
+
+
+def _is_prime(A: FiniteMtlAlgebra, S: Subset, table) -> bool:
+    """table(x, y) in S forces x or y in S."""
     for x in range(A.n):
-        if bits >> x & 1:
-            out |= A.downset_mask(x)
-    return out
+        for y in range(x, A.n):
+            if table[x][y] in S and x not in S and y not in S:
+                return False
+    return True
 
 
 def is_filter(A: FiniteMtlAlgebra, F: Subset) -> bool:
-    require_validated(A)
-    if F.is_empty():
-        return False
-    members = F.members()
-    for x, y in combinations_with_replacement(members, 2):
-        if A.mul[x][y] not in F:
-            return False
-    return _upward_closure(A, F.bits) == F.bits
+    return _is_closed(A, F, A.mul, _upsets(A))
 
 
 def is_proper_filter(A: FiniteMtlAlgebra, F: Subset) -> bool:
@@ -54,30 +84,15 @@ def is_proper_filter(A: FiniteMtlAlgebra, F: Subset) -> bool:
 
 
 def generated_filter(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    """Least filter containing X, by product/upward closure to a fixed point."""
-    require_validated(A)
-    require_nonempty(X)
-    bits = _upward_closure(A, X.bits)
-    while True:
-        new = bits
-        members = [x for x in range(A.n) if bits >> x & 1]
-        for x, y in combinations_with_replacement(members, 2):
-            new |= 1 << A.mul[x][y]
-        new = _upward_closure(A, new)
-        if new == bits:
-            return Subset(A, bits)
-        bits = new
+    """Least filter containing X."""
+    return _generated(A, X, A.mul, _upsets(A))
 
 
 def is_prime_filter(A: FiniteMtlAlgebra, F: Subset) -> bool:
     """Primality of a proper filter: join(x, y) in F forces x or y in F."""
     if not is_proper_filter(A, F):
         raise NotAProperFilterError("primality is defined for proper filters only")
-    for x in range(A.n):
-        for y in range(x, A.n):
-            if A.join[x][y] in F and x not in F and y not in F:
-                return False
-    return True
+    return _is_prime(A, F, A.join)
 
 
 def all_filters(A: FiniteMtlAlgebra) -> list[Subset]:
@@ -93,14 +108,7 @@ def all_filters(A: FiniteMtlAlgebra) -> list[Subset]:
 
 
 def is_lattice_ideal(A: FiniteMtlAlgebra, I: Subset) -> bool:
-    require_validated(A)
-    if I.is_empty():
-        return False
-    members = I.members()
-    for x, y in combinations_with_replacement(members, 2):
-        if A.join[x][y] not in I:
-            return False
-    return _downward_closure(A, I.bits) == I.bits
+    return _is_closed(A, I, A.join, _downsets(A))
 
 
 def principal_ideal(A: FiniteMtlAlgebra, t: int) -> Subset:
@@ -117,29 +125,14 @@ def principal_filter(A: FiniteMtlAlgebra, t: int) -> Subset:
 
 def generated_lattice_ideal(A: FiniteMtlAlgebra, H: Subset) -> Subset:
     """Least join-closed downset containing H."""
-    require_validated(A)
-    require_nonempty(H)
-    bits = _downward_closure(A, H.bits)
-    while True:
-        new = bits
-        members = [x for x in range(A.n) if bits >> x & 1]
-        for x, y in combinations_with_replacement(members, 2):
-            new |= 1 << A.join[x][y]
-        new = _downward_closure(A, new)
-        if new == bits:
-            return Subset(A, bits)
-        bits = new
+    return _generated(A, H, A.join, _downsets(A))
 
 
 def is_prime_lattice_ideal(A: FiniteMtlAlgebra, I: Subset) -> bool:
     """Primality of a lattice ideal: meet(x, y) in I forces x or y in I."""
     if not is_lattice_ideal(A, I):
         raise NotALatticeIdealError("argument is not a lattice ideal")
-    for x in range(A.n):
-        for y in range(x, A.n):
-            if A.meet[x][y] in I and x not in I and y not in I:
-                return False
-    return True
+    return _is_prime(A, I, A.meet)
 
 
 def godel_center(A: FiniteMtlAlgebra) -> Subset:
@@ -151,26 +144,35 @@ def godel_center(A: FiniteMtlAlgebra) -> Subset:
     corrupted after validation.
     """
     require_validated(A)
-    bits = 0
-    for e in range(A.n):
-        if A.mul[e][e] == e:
-            bits |= 1 << e
-    for e in range(A.n):
-        if not bits >> e & 1:
-            continue
-        for x in range(A.n):
-            for y in range(A.n):
-                lhs = A.mul[e][A.imp[x][y]]
-                rhs = A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]]
-                if lhs != rhs:
-                    raise InternalConsistencyError(
-                        f"center identity fails at e={A.labels[e]},"
-                        f" x={A.labels[x]}, y={A.labels[y]}"
-                    )
-    return Subset(A, bits)
+    for e, x, y in product(A.idempotents(), range(A.n), range(A.n)):
+        if not _center_identity(A, e, x, y):
+            raise InternalConsistencyError(
+                f"center identity fails at e={A.labels[e]},"
+                f" x={A.labels[x]}, y={A.labels[y]}"
+            )
+    return Subset(A, sum(1 << e for e in A.idempotents()))
+
+
+def _center_identity(A: FiniteMtlAlgebra, e: int, x: int, y: int) -> bool:
+    """e * (x -> y) == e * ((e * x) -> (e * y)); P2.4.2 reads it too."""
+    return A.mul[e][A.imp[x][y]] == A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]]
 
 
 _SUBALG_OPS = ("mul", "imp", "meet", "join")
+
+
+def _first_escape(A: FiniteMtlAlgebra, S: Subset, ops: tuple[str, ...]):
+    """(op-name, x, y, result) for the first x, y in S, lexicographically,
+    and op in `ops`, in the order given, whose result leaves S; or None."""
+    tables = [(name, getattr(A, name)) for name in ops]
+    members = S.members()
+    for x in members:
+        for y in members:
+            for name, table in tables:
+                r = table[x][y]
+                if r not in S:
+                    return (name, x, y, r)
+    return None
 
 
 def subalgebra_violation(A: FiniteMtlAlgebra, S: Subset):
@@ -185,15 +187,7 @@ def subalgebra_violation(A: FiniteMtlAlgebra, S: Subset):
         return ("missing", A.bot)
     if A.top not in S:
         return ("missing", A.top)
-    tables = {name: getattr(A, name) for name in _SUBALG_OPS}
-    members = S.members()
-    for x in members:
-        for y in members:
-            for name in _SUBALG_OPS:
-                r = tables[name][x][y]
-                if r not in S:
-                    return (name, x, y, r)
-    return None
+    return _first_escape(A, S, _SUBALG_OPS)
 
 
 def is_subalgebra(A: FiniteMtlAlgebra, S: Subset) -> bool:

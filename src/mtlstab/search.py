@@ -11,6 +11,7 @@ checked on finished tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import permutations, product
 
 from .core import (FiniteMtlAlgebra, NotALatticeError, _derive_lattice,
@@ -117,7 +118,7 @@ def enumerate_chains(n: int, jobs: int = 1) -> list[FiniteMtlAlgebra]:
         raise SizeRangeError(f"chain enumeration supports sizes 2..{CHAIN_MAX}")
     chain = (tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
              tuple(tuple(max(x, y) for y in range(n)) for x in range(n)))
-    (tables,) = pmap(_LatticeTask(n), [chain], jobs)
+    (tables,) = pmap(partial(_tables_on_lattice, n), [chain], jobs)
     out = []
     for idx, (mul, imp) in enumerate(sorted(tables)):
         A = construct(n, mul, imp, labels=_chain_labels(n),
@@ -228,8 +229,9 @@ def _bounded_lattices(n: int) -> list[tuple]:
     return lattices
 
 
-def _tables_on_lattice(n: int, meet, join) -> list[tuple]:
-    """(mul, imp) of every MTL-algebra on a naturally labelled lattice.
+def _tables_on_lattice(n: int, lattice: tuple) -> list[tuple]:
+    """(mul, imp) of every MTL-algebra on a naturally labelled lattice, given
+    as its (meet, join) pair.
 
     The free entries (i, j), 1 <= i <= j <= n-2, are filled row-major; the
     bot row is absorbing and the top row is the unit.  Lower covers carry
@@ -240,6 +242,7 @@ def _tables_on_lattice(n: int, meet, join) -> list[tuple]:
     Associativity, the residuum max{z | mul(x, z) <= y} and prelinearity
     are checked on finished tables.
     """
+    meet, join = lattice
     top = n - 1
     rng = range(n)
     inner = range(1, top)
@@ -338,7 +341,7 @@ def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
             f"full enumeration supports sizes 2..{FULL_MAX}"
             f" ({FULL_MAX_OPTIN} with allow_large)")
     lattices = _bounded_lattices(n)
-    chunks = pmap(_LatticeTask(n), lattices, jobs)
+    chunks = pmap(partial(_tables_on_lattice, n), lattices, jobs)
     seen: dict[bytes, FiniteMtlAlgebra] = {}
     plain: list[FiniteMtlAlgebra] = []
     for chunk in chunks:
@@ -357,15 +360,6 @@ def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
     else:
         ordered = plain
     return [replace(A, name=f"alg{n}_{idx}") for idx, A in enumerate(ordered)]
-
-
-class _LatticeTask:
-    def __init__(self, n: int):
-        self.n = n
-
-    def __call__(self, lattice: tuple) -> list[tuple]:
-        meet, join = lattice
-        return _tables_on_lattice(self.n, meet, join)
 
 
 def enumerate_models(spec: EnumerationSpec, jobs: int = 1) -> list[FiniteMtlAlgebra]:

@@ -21,18 +21,6 @@ from .core import FiniteMtlAlgebra, require_validated
 from .subsets import Subset, require_nonempty
 
 
-def _fixed_mask(A: FiniteMtlAlgebra, key: str, fixed) -> tuple[int, ...]:
-    cache = A._mask_cache()
-    masks = cache.get(key)
-    if masks is None:
-        n = A.n
-        masks = tuple(
-            sum(1 << a for a in range(n) if fixed(a, x)) for x in range(n)
-        )
-        cache[key] = masks
-    return masks
-
-
 def _intersect(A: FiniteMtlAlgebra, X: Subset, masks: tuple[int, ...]) -> Subset:
     require_validated(A)
     require_nonempty(X)
@@ -45,12 +33,12 @@ def _intersect(A: FiniteMtlAlgebra, X: Subset, masks: tuple[int, ...]) -> Subset
 
 
 def impl_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = _fixed_mask(A, "impl_left", lambda a, x: A.imp[a][x] == x)
+    masks = A._fixed_masks("impl_left", lambda a, x: A.imp[a][x] == x)
     return _intersect(A, X, masks)
 
 
 def impl_right(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = _fixed_mask(A, "impl_right", lambda a, x: A.imp[x][a] == a)
+    masks = A._fixed_masks("impl_right", lambda a, x: A.imp[x][a] == a)
     return _intersect(A, X, masks)
 
 
@@ -59,17 +47,17 @@ def impl_stab(A: FiniteMtlAlgebra, X: Subset) -> Subset:
 
 
 def ortho(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = _fixed_mask(A, "ortho", lambda a, x: A.join[a][x] == A.top)
+    masks = A._fixed_masks("ortho", lambda a, x: A.join[a][x] == A.top)
     return _intersect(A, X, masks)
 
 
 def mult_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = _fixed_mask(A, "mult_left", lambda a, x: A.mul[a][x] == x)
+    masks = A._fixed_masks("mult_left", lambda a, x: A.mul[a][x] == x)
     return _intersect(A, X, masks)
 
 
 def mult_right(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = _fixed_mask(A, "mult_right", lambda a, x: A.mul[x][a] == a)
+    masks = A._fixed_masks("mult_right", lambda a, x: A.mul[x][a] == a)
     return _intersect(A, X, masks)
 
 

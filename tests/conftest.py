@@ -9,6 +9,23 @@ def fixtures():
     return {name: load_fixture(name) for name in FIXTURE_NAMES}
 
 
+def relabel(A, order):
+    """A copy of A whose position p holds the old element order[p]."""
+    new = [0] * A.n
+    for position, old in enumerate(order):
+        new[old] = position
+
+    def move(table):
+        return [[new[table[order[i]][order[j]]] for j in range(A.n)]
+                for i in range(A.n)]
+
+    B = construct(A.n, move(A.mul), move(A.imp), bot=new[A.bot],
+                  top=new[A.top], labels=[A.labels[old] for old in order],
+                  name=A.name)
+    assert validate(B).valid
+    return B
+
+
 def _make(n, mul, imp, labels, name):
     A = construct(n, mul, imp, labels=labels, name=name)
     report = validate(A)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import relabel
 from mtlstab import fixtures as fixtures_module
 from mtlstab import from_labels, impl_left, mult_right, mult_stab, singleton
 from mtlstab.claims import (
@@ -132,8 +135,27 @@ def test_divergence_records(fixtures, monkeypatch):
     assert loaded == ["m6"]
     assert records("g6") == []
     assert loaded == ["m6"]
-    assert records("n5") == []
+    # n5 is a5 with its carrier listed as 0,c,a,b,1.
+    assert records("n5") == [("impl_left", "b,1", "a,1", "1", "false")]
     assert sorted(loaded) == ["a5", "c5"]
+
+
+@pytest.mark.parametrize("name,count", [("a4", 3), ("a5", 1), ("c5", 1),
+                                        ("m6", 1)])
+def test_divergence_records_survive_carrier_reordering(fixtures, name, count):
+    # Rendering follows carrier order, so subsets are compared as label sets.
+    def records(A):
+        return {(d["op"], d["match"], *(frozenset(d[k].split(","))
+                                        for k in ("X", "computed", "reported")))
+                for d in documented_divergences(A)}
+
+    A = fixtures[name]
+    order = list(range(A.n))
+    random.Random(3).shuffle(order)
+    B = relabel(A, order)
+    assert B.labels != A.labels
+    assert len(records(A)) == count
+    assert records(B) == records(A)
 
 
 def test_outcome_report_failure_accounting(fixtures):

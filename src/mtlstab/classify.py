@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .core import FiniteMtlAlgebra, require_validated
-from .order import (is_lattice_ideal, is_prime_filter, is_prime_lattice_ideal,
-                    is_proper_filter)
+from .order import is_prime_filter, is_prime_lattice_ideal, is_proper_filter
 from .report import Report
 from .stabilizers import impl_left, impl_stab, mult_left, mult_right, ortho
 from .subsets import Subset, full, singleton
@@ -98,26 +97,27 @@ def godel_by_right_stabilizers(A: FiniteMtlAlgebra) -> bool:
     )
 
 
+def _left_stabilizers_prime(A: FiniteMtlAlgebra) -> bool:
+    """Each proper one-point left mul stabilizer is a prime filter."""
+    stabs = (mult_left(A, singleton(A, x)) for x in range(A.n))
+    return all(is_prime_filter(A, F) for F in stabs if is_proper_filter(A, F))
+
+
+def _right_stabilizers_prime(A: FiniteMtlAlgebra) -> bool:
+    """Each one-point right mul stabilizer is a prime lattice ideal.  Read
+    only once they are known to be downsets, which are lattice ideals."""
+    return all(is_prime_lattice_ideal(A, mult_right(A, singleton(A, x)))
+               for x in range(A.n))
+
+
 def _godel_chain_left(A: FiniteMtlAlgebra) -> bool:
     """Left stabilizers are upsets, and each proper one is a prime filter."""
-    if not godel_by_left_stabilizers(A):
-        return False
-    for x in range(A.n):
-        lx = mult_left(A, singleton(A, x))
-        if is_proper_filter(A, lx) and not is_prime_filter(A, lx):
-            return False
-    return True
+    return godel_by_left_stabilizers(A) and _left_stabilizers_prime(A)
 
 
 def _godel_chain_right(A: FiniteMtlAlgebra) -> bool:
     """Right stabilizers are downsets, and each is a prime lattice ideal."""
-    if not godel_by_right_stabilizers(A):
-        return False
-    for x in range(A.n):
-        rx = mult_right(A, singleton(A, x))
-        if not (is_lattice_ideal(A, rx) and is_prime_lattice_ideal(A, rx)):
-            return False
-    return True
+    return godel_by_right_stabilizers(A) and _right_stabilizers_prime(A)
 
 
 def godel_chain_by_stabilizers(A: FiniteMtlAlgebra) -> bool:
@@ -125,45 +125,46 @@ def godel_chain_by_stabilizers(A: FiniteMtlAlgebra) -> bool:
     return _godel_chain_left(A) and _godel_chain_right(A)
 
 
-_CROSS_CHECKS = (
-    # key, direct predicate, stabilizer characterization, claim refuted on split
-    ("imtl", is_imtl, imtl_by_stabilizers, "T3.10-imtl"),
-    ("integral", is_integral_mtl, integral_by_stabilizers, "T3.11-integral"),
-    ("godel", is_godel, godel_by_left_stabilizers, "T4.9-godel"),
-    ("godel", is_godel, godel_by_right_stabilizers, "T4.9-godel"),
+_DIRECT = (
+    ("bl", is_bl), ("mv", is_mv), ("godel", is_godel),
+    ("imtl", is_imtl), ("integral", is_integral_mtl), ("chain", is_chain),
+)
+
+_ROUTES = (
+    # report key, stabilizer route, direct key it must match, claim refuted
+    ("imtl-stabilizer", imtl_by_stabilizers, "imtl", "T3.10-imtl"),
+    ("integral-stabilizer", integral_by_stabilizers, "integral", "T3.11-integral"),
+    ("godel-left-stabilizer", godel_by_left_stabilizers, "godel", "T4.9-godel"),
+    ("godel-right-stabilizer", godel_by_right_stabilizers, "godel", "T4.9-godel"),
 )
 
 
 def classify(A: FiniteMtlAlgebra) -> Report:
+    """Class records and cross-checks; each predicate and route runs once."""
     require_validated(A)
     report = Report()
     report.add("class", "mtl", "true")
-    for key, pred in (
-        ("bl", is_bl), ("mv", is_mv), ("godel", is_godel),
-        ("imtl", is_imtl), ("integral", is_integral_mtl), ("chain", is_chain),
-    ):
-        report.add("class", key, str(pred(A)).lower())
+    direct = {key: pred(A) for key, pred in _DIRECT}
+    for key, value in direct.items():
+        report.add("class", key, str(value).lower())
 
-    stab_routes = {
-        "imtl-stabilizer": imtl_by_stabilizers(A),
-        "integral-stabilizer": integral_by_stabilizers(A),
-        "godel-left-stabilizer": godel_by_left_stabilizers(A),
-        "godel-right-stabilizer": godel_by_right_stabilizers(A),
-        "godel-chain-stabilizer": godel_chain_by_stabilizers(A),
-    }
-    for key, value in stab_routes.items():
+    routes = {key: route(A) for key, route, _, _ in _ROUTES}
+    routes["godel-chain-stabilizer"] = (
+        routes["godel-left-stabilizer"] and _left_stabilizers_prime(A)
+        and routes["godel-right-stabilizer"] and _right_stabilizers_prime(A))
+    for key, value in routes.items():
         report.add("class", key, str(value).lower())
     report.add("class", "left-stab-of-bot",
                impl_left(A, singleton(A, A.bot)).render())
 
-    for key, direct, stab, claim in _CROSS_CHECKS:
-        if direct(A) != stab(A):
+    for key, route, direct_key, claim in _ROUTES:
+        if direct[direct_key] != routes[key]:
             report.add_failure(
                 "refutation", claim,
-                f"direct {key} predicate disagrees with {stab.__name__}",
+                f"direct {direct_key} predicate disagrees with {route.__name__}",
             )
-    direct_chain_godel = is_godel(A) and is_chain(A)
-    if direct_chain_godel != stab_routes["godel-chain-stabilizer"]:
+    direct_chain_godel = direct["godel"] and direct["chain"]
+    if direct_chain_godel != routes["godel-chain-stabilizer"]:
         report.add_failure(
             "refutation", "T4.10-godel-chain",
             "direct chain+godel predicate disagrees with stabilizer route",

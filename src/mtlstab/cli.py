@@ -168,7 +168,7 @@ def _cmd_search(args) -> tuple[Report, int]:
         for A in corpus:
             findings.extend(open1_scan(A))
     elif args.problem == 2:
-        findings.extend(open2_scan(corpus, full_subsets=args.full_premise))
+        findings.extend(open2_scan(corpus))
     else:
         for A in corpus:
             findings.extend(open3_scan(A))
@@ -252,9 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", default=None)
     group.add_argument("--size", type=int, default=None)
-    p.add_argument("--full-premise", action="store_true",
-                   help="problem 2: check the premise on every subset,"
-                        " not only singletons")
     common(p, jobs=True)
     p.set_defaults(fn=_cmd_search)
 

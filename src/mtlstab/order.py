@@ -98,13 +98,13 @@ def is_prime_filter(A: FiniteMtlAlgebra, F: Subset) -> bool:
 def all_filters(A: FiniteMtlAlgebra) -> list[Subset]:
     """Every filter, in ascending bit-pattern order.
 
-    In a finite algebra each filter is the upset of its least element, which
-    is idempotent, so closing each singleton and deduplicating finds all of
-    them.  The improper filter appears as the closure of bot.
+    In a finite algebra each filter is the upset of its least element (the
+    product of its members), which is idempotent, and the upset of each
+    idempotent is mul-closed.  The improper filter is the upset of bot.
     """
     require_validated(A)
-    found = {generated_filter(A, Subset(A, 1 << x)).bits for x in range(A.n)}
-    return [Subset(A, bits) for bits in sorted(found)]
+    upsets = _upsets(A)
+    return [Subset(A, bits) for bits in sorted(upsets[e] for e in A.idempotents())]
 
 
 def is_lattice_ideal(A: FiniteMtlAlgebra, I: Subset) -> bool:

@@ -20,7 +20,7 @@ from .classify import is_mv
 from .induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
 from .order import all_filters
 from .stabilizers import impl_left, impl_right
-from .subsets import all_nonempty_subsets, singleton
+from .subsets import singleton
 from ._pool import pmap
 
 FAMILIES = ("lukasiewicz", "godel", "nilpotent_minimum")
@@ -121,7 +121,7 @@ def enumerate_chains(n: int, jobs: int = 1) -> list[FiniteMtlAlgebra]:
     (tables,) = pmap(partial(_tables_on_lattice, n), [chain], jobs)
     out = []
     for idx, (mul, imp) in enumerate(sorted(tables)):
-        A = construct(n, mul, imp, labels=_chain_labels(n),
+        A = construct(n, mul, imp, *chain, labels=_chain_labels(n),
                       name=f"chain{n}_{idx}")
         report = validate(A)
         if not report.valid:
@@ -344,9 +344,9 @@ def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
     chunks = pmap(partial(_tables_on_lattice, n), lattices, jobs)
     seen: dict[bytes, FiniteMtlAlgebra] = {}
     plain: list[FiniteMtlAlgebra] = []
-    for chunk in chunks:
+    for lattice, chunk in zip(lattices, chunks):
         for mul, imp in chunk:
-            A = construct(n, mul, imp, labels=_chain_labels(n))
+            A = construct(n, mul, imp, *lattice, labels=_chain_labels(n))
             report = validate(A)
             if not report.valid:
                 raise AssertionError(f"enumerated algebra failed validation:"
@@ -374,38 +374,39 @@ def enumerate_models(spec: EnumerationSpec, jobs: int = 1) -> list[FiniteMtlAlge
 # Open-problem scans.
 
 def open1_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
-    """Filters that are not the left stabilizer of any nonempty subset."""
-    achievable = {impl_left(A, X).bits for X in all_nonempty_subsets(A)}
+    """Filters that are not the left stabilizer of any nonempty subset.
+
+    impl_left and impl_right are the Galois pair of the relation
+    imp(a, x) == x: impl_right(F) is the largest X whose left stabilizer
+    contains F, and it always holds top.  So F is a left stabilizer exactly
+    when it is that of impl_right(F).
+    """
     findings = []
     for F in all_filters(A):
-        if F.bits not in achievable:
+        if impl_left(A, impl_right(A, F)) != F:
             findings.append(SearchFinding(
                 "open1", A, {"filter": F.render(),
                              "reason": "no X has this left stabilizer"}))
     return findings
 
 
-def open2_premise(A: FiniteMtlAlgebra, full_subsets: bool = False) -> bool:
+def open2_premise(A: FiniteMtlAlgebra) -> bool:
     """Left equals right stabilizer everywhere.
 
-    Singleton agreement suffices because both sides of the general case are
-    intersections of the singleton stabilizers; the full sweep stays
-    available for paranoia runs.
+    Singleton agreement is exact: both stabilizers of a nonempty X are the
+    intersections of the singleton stabilizers of its members.
     """
-    if full_subsets:
-        return all(impl_left(A, X) == impl_right(A, X)
-                   for X in all_nonempty_subsets(A))
     return all(
         impl_left(A, singleton(A, x)) == impl_right(A, singleton(A, x))
         for x in range(A.n)
     )
 
 
-def open2_scan(corpus, full_subsets: bool = False) -> list[SearchFinding]:
+def open2_scan(corpus) -> list[SearchFinding]:
     """Algebras whose stabilizers are symmetric yet are not MV."""
     findings = []
     for A in corpus:
-        if open2_premise(A, full_subsets) and not is_mv(A):
+        if open2_premise(A) and not is_mv(A):
             findings.append(SearchFinding(
                 "open2", A, {"premise": "left equals right stabilizer",
                              "mv": "false"}))

@@ -1,3 +1,8 @@
+import sys
+from collections import Counter
+
+from mtlstab import classify as classify_module
+from mtlstab import order as order_module
 from mtlstab.classify import (
     classify,
     godel_by_left_stabilizers,
@@ -93,3 +98,34 @@ def test_classify_reports(fixtures):
 
     m6 = as_dict(fixtures["m6"])
     assert m6["mv"] == "true" and m6["bl"] == "true"
+
+
+def _calls_during(fn, *args):
+    """Calls of named functions in classify and order made by fn(*args)."""
+    files = {classify_module.__file__, order_module.__file__}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename in files \
+                and not code.co_name.startswith("<"):
+            calls[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_classify_evaluates_each_predicate_once(fixtures):
+    for A in (fixtures["g6"], gen_family("godel", 6)):
+        calls = _calls_during(classify, A)
+        for name in ("is_bl", "is_mv", "is_godel", "is_imtl", "is_integral_mtl",
+                     "is_chain", "imtl_by_stabilizers", "integral_by_stabilizers",
+                     "godel_by_left_stabilizers", "godel_by_right_stabilizers"):
+            assert calls[name] == 1, (A.name, name, calls[name])
+    # on a Gödel chain every right stabilizer is tested as an ideal, once
+    chain = gen_family("godel", 6)
+    assert _calls_during(classify, chain)["is_lattice_ideal"] == chain.n

@@ -1,13 +1,15 @@
 import io
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
-from mtlstab.algfile import parse_corpus
+from mtlstab.algfile import parse_corpus, serialize_algebra
 from mtlstab.classify import is_godel
 from mtlstab.cli import cli_main
-from mtlstab.core import validate
+from mtlstab.core import construct, validate
 from mtlstab.fixtures import fixture_text
+from mtlstab.search import FAMILIES
 
 
 @pytest.fixture()
@@ -130,6 +132,49 @@ def test_search_file_mode(fixture_file):
     assert code in (0, 1)
     has_findings = "finding\t" in out
     assert code == (1 if has_findings else 0)
+
+
+def _timed_search(problem, path):
+    start = time.perf_counter()
+    code, out = run_cli(["search", "--problem", problem, "--file", str(path),
+                         "--format", "machine"])
+    return code, out, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("problem", ["1", "2"])
+def test_search_file_is_bounded_on_64_element_chain(tmp_path, problem):
+    # gen stops at 26 elements, so the 64-element Lukasiewicz chain is built
+    # here; a scan over the 2^64 subsets would never return
+    n, top = 64, 63
+    A = construct(n, [[max(0, x + y - top) for y in range(n)] for x in range(n)],
+                  [[min(top, top - x + y) for y in range(n)] for x in range(n)],
+                  labels=[f"e{x}" for x in range(n)], name="lukasiewicz64")
+    path = tmp_path / "luk64.alg"
+    path.write_text(serialize_algebra(A, include_lattice=True))
+    code, out, seconds = _timed_search(problem, path)
+    assert code in (0, 1)
+    assert "search\tscanned\t1\n" in out
+    assert seconds < 10
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_search_problem3_is_bounded_on_gen_26(tmp_path, family):
+    path = tmp_path / f"{family}26.alg"
+    assert cli_main(["gen", "--family", family, "--size", "26",
+                     "--out", str(path)]) == 0
+    code, out, seconds = _timed_search("3", path)
+    assert code in (0, 1)
+    assert "search\tproblem\t3\n" in out
+    assert seconds < 10
+
+
+def test_search_full_premise_flag_is_gone(capsys):
+    assert cli_main(["search", "--problem", "2", "--size", "4",
+                     "--full-premise"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --full-premise" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_search_size_mode_problem3():

@@ -3,15 +3,18 @@ from itertools import product
 
 import pytest
 
-from mtlstab import (all_nonempty_subsets, from_labels, impl_left,
+from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
                      impl_right, singleton)
 from mtlstab import _pool
 from mtlstab.classify import is_chain, is_godel, is_imtl, is_mv
 from mtlstab.core import LatticeMismatchError, construct, validate
+from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
 from mtlstab.induced import check_mtl_iso
 from mtlstab.search import (
+    FAMILIES,
     EnumerationSpec,
     SizeRangeError,
+    SearchFinding,
     UnknownFamilyError,
     _bounded_lattices,
     canonical_form,
@@ -196,13 +199,66 @@ def test_canonical_form_properties(fixtures, diamond):
             assert same == (check_mtl_iso(A, B) is not None)
 
 
+def left_stabilizers(A):
+    """Bit patterns of the left stabilizers of every nonempty subset."""
+    return {impl_left(A, X).bits for X in all_nonempty_subsets(A)}
+
+
+def swept_open1(A):
+    """Oracle for open1_scan: the filters no swept left stabilizer reaches."""
+    achievable = left_stabilizers(A)
+    return [SearchFinding("open1", A, {"filter": F.render(),
+                                       "reason": "no X has this left stabilizer"})
+            for F in all_filters(A) if F.bits not in achievable]
+
+
+def swept_open2_premise(A):
+    """Oracle for open2_premise: left equals right stabilizer on every
+    nonempty subset."""
+    return all(impl_left(A, X) == impl_right(A, X)
+               for X in all_nonempty_subsets(A))
+
+
+def _oracle_corpus(source):
+    if source == "fixtures":
+        return [load_fixture(name) for name in FIXTURE_NAMES]
+    if source == "families":
+        return [gen_family(f, n) for f in FAMILIES for n in range(2, 11)]
+    kind, n = source.split(":")
+    if kind == "all":
+        return enumerate_all(int(n), allow_large=True)
+    return enumerate_chains(int(n))
+
+
+@pytest.mark.parametrize("source", ["fixtures", "families"]
+                         + [f"all:{n}" for n in range(2, 7)]
+                         + [f"chains:{n}" for n in range(2, 8)])
+def test_open_scans_match_subset_sweeps(source):
+    for A in _oracle_corpus(source):
+        assert open1_scan(A) == swept_open1(A), A.name
+        assert open2_premise(A) == swept_open2_premise(A), A.name
+        # the Galois test open1_scan applies to filters, on every subset
+        achievable = left_stabilizers(A)
+        for S in all_nonempty_subsets(A):
+            closed = impl_left(A, impl_right(A, S)) == S
+            assert closed == (S.bits in achievable), (A.name, S.render())
+
+
 def test_open1(fixtures, boolean2):
     assert open1_scan(boolean2) == []
-    a4 = fixtures["a4"]
-    findings = open1_scan(a4)
-    for f in findings:
-        F = from_labels(a4, f.witness["filter"])
-        assert all(impl_left(a4, X) != F for X in all_nonempty_subsets(a4))
+    assert open1_scan(fixtures["a4"]) == []
+
+
+def test_open1_catches_corrupted_top_mask():
+    # A fresh validated copy, so the shared session fixtures keep their caches.
+    A = load_fixture("a4")
+    impl_left(A, singleton(A, A.top))
+    masks = list(A._mask_cache()["impl_left"])
+    masks[A.top] ^= 1 << A.bot
+    A._mask_cache()["impl_left"] = tuple(masks)
+    findings = open1_scan(A)
+    assert [f.witness["filter"] for f in findings] == [full(A).render()]
+    assert swept_open1(A) == findings
 
 
 def test_open2(fixtures):
@@ -213,9 +269,11 @@ def test_open2(fixtures):
     assert findings, "the size-4 sweep finds a symmetric non-MV algebra"
     for f in findings:
         assert open2_premise(f.algebra)
-        assert open2_premise(f.algebra, full_subsets=True)
+        assert swept_open2_premise(f.algebra)
         assert not is_mv(f.algebra)
-    assert open2_scan(enumerate_all(4), full_subsets=True) == findings
+    assert [A for A in enumerate_all(4)
+            if swept_open2_premise(A) and not is_mv(A)] \
+        == [f.algebra for f in findings]
 
 
 def test_open3(fixtures, boolean2):

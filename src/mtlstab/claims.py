@@ -7,9 +7,9 @@ a hypothesis (BL-only, MV-only, idempotent-only) come back `not-applicable`
 when the hypothesis fails, never vacuously `holds`, so corpus statistics
 separate verified from untested.
 
-Two registry entries are expected to be refutable on ordinary algebras and
-carry metadata saying so; regression runs alert when an expected refutation
-disappears.  One entry (P4.3.11) references an operator that has no
+Three registry entries (Q-godel-xr-union-subalg, P4.3.5, P4.3.6) are
+expected to be refutable on ordinary algebras and carry metadata saying so;
+regression runs alert when an expected refutation disappears.  One entry (P4.3.11) references an operator that has no
 definition for proper subsets and is registered as not evaluable.
 
 Claims read stabilizers, filters and ideals from the library operators.  The

@@ -24,11 +24,11 @@ from .classify import classify
 from .core import AlgebraError, FiniteMtlAlgebra, validate
 from .report import Report, emit_report
 from .search import (
-    EnumerationSpec,
     SizeRangeError,
     UnknownFamilyError,
     canonical_form,
-    enumerate_models,
+    enumerate_all,
+    enumerate_chains,
     gen_family,
     open1_scan,
     open2_scan,
@@ -125,15 +125,17 @@ def _write_corpus(path: str, algebras, canon_hex: list[str]) -> None:
 
 
 def _cmd_enumerate(args) -> tuple[Report, int]:
+    if args.limit is not None and args.limit < 1:
+        raise _InputError(f"limit must be at least 1, got {args.limit}")
     try:
-        spec = EnumerationSpec(size=args.size, chains_only=args.chains,
-                               dedup=not args.no_dedup, limit=args.limit)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    try:
-        algebras = enumerate_models(spec, jobs=args.jobs)
+        if args.chains:
+            algebras = enumerate_chains(args.size, args.jobs)
+        else:
+            algebras = enumerate_all(args.size, args.jobs,
+                                     dedup=not args.no_dedup)
     except SizeRangeError as exc:
         raise _InputError(str(exc)) from exc
+    algebras = algebras[:args.limit]
     canon_hex = [canonical_form(A).hex() for A in algebras]
     report = Report()
     report.add("enum", "size", str(args.size))
@@ -156,8 +158,7 @@ def _cmd_search(args) -> tuple[Report, int]:
         corpus = [A]
     else:
         try:
-            corpus = enumerate_models(EnumerationSpec(size=args.size),
-                                      jobs=args.jobs)
+            corpus = enumerate_all(args.size, args.jobs)
         except SizeRangeError as exc:
             raise _InputError(str(exc)) from exc
     report.add("search", "problem", str(args.problem))

@@ -170,19 +170,21 @@ def construct(
     mul = _check_table("mul", mul, n)
     imp = _check_table("imp", imp, n)
 
-    # Relation from the residuum; construct() only needs it to be consistent,
-    # validate() re-checks the lattice laws in full.
-    leq_imp = tuple(tuple(imp[x][y] == top for y in range(n)) for x in range(n))
+    # The residuum's order as upset masks; construct() only needs it to be
+    # consistent, validate() re-checks the lattice laws in full.
+    up = [_mask(imp[x], top) for x in range(n)]
 
     if meet is None or join is None:
         if meet is not None or join is not None:
             raise AlgebraError("declare both meet and join or neither")
-        meet, join = _derive_lattice(n, leq_imp, bot, top)
+        meet, join = _derive_lattice(n, up, bot, top)
     else:
         meet = _check_table("meet", meet, n)
         join = _check_table("join", join, n)
-        for x, y in product(range(n), repeat=2):
-            if (meet[x][y] == x) != leq_imp[x][y]:
+        for x in range(n):
+            differ = up[x] ^ _mask(meet[x], x)
+            if differ:
+                y = _lowest(differ)
                 raise LatticeMismatchError(
                     f"declared lattice disagrees with imp-order at"
                     f" ({labels[x]}, {labels[y]})"
@@ -194,37 +196,60 @@ def construct(
     )
 
 
-def _derive_lattice(n: int, leq, bot: int, top: int) -> tuple[Table, Table]:
+def _mask(row, value: int) -> int:
+    """Bit y is set when row[y] == value."""
+    return sum(1 << y for y, v in enumerate(row) if v == value)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _derive_lattice(n: int, up, bot: int, top: int) -> tuple[Table, Table]:
+    """(meet, join) of the order whose upset masks are `up`: bit y of up[x]
+    is set when x <= y.
+
+    Reflexivity, antisymmetry, transitivity and the bounds are checked in
+    that order, then meet and join pair by pair; each check reports its
+    first witness in index order.  meet(x, y) is the element whose downset
+    is down[x] & down[y], and join(x, y) the one whose upset is
+    up[x] & up[y]; a pair has none exactly when no element has that cone.
+    O(n^2) mask operations.
+    """
+    down = [sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)]
     for x in range(n):
-        if not leq[x][x]:
+        if not up[x] >> x & 1:
             raise NotALatticeError(f"imp-order is not reflexive at element {x}")
-    for x, y in product(range(n), repeat=2):
-        if x != y and leq[x][y] and leq[y][x]:
-            raise NotALatticeError(f"imp-order is not antisymmetric at ({x}, {y})", (x, y))
-    for x, y, z in product(range(n), repeat=3):
-        if leq[x][y] and leq[y][z] and not leq[x][z]:
-            raise NotALatticeError(f"imp-order is not transitive at ({x}, {y}, {z})")
     for x in range(n):
-        if not (leq[bot][x] and leq[x][top]):
+        both = up[x] & down[x] & ~(1 << x)
+        if both:
+            y = _lowest(both)
+            raise NotALatticeError(f"imp-order is not antisymmetric at ({x}, {y})", (x, y))
+    for x, y in product(range(n), repeat=2):
+        escape = up[y] & ~up[x]
+        if up[x] >> y & 1 and escape:
+            raise NotALatticeError(
+                f"imp-order is not transitive at ({x}, {y}, {_lowest(escape)})")
+    for x in range(n):
+        if not (up[bot] >> x & 1 and up[x] >> top & 1):
             raise NotALatticeError(f"element {x} is not between bot and top")
 
+    by_down = {mask: x for x, mask in enumerate(down)}
+    by_up = {mask: x for x, mask in enumerate(up)}
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for x, y in product(range(n), repeat=2):
-        lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
-        greatest = [m for m in lower if all(leq[z][m] for z in lower)]
-        if len(greatest) != 1:
+        m = by_down.get(down[x] & down[y])
+        if m is None:
             raise NotALatticeError(
                 f"incomparable pair ({x}, {y}) has no meet in the imp-order", (x, y)
             )
-        meet[x][y] = greatest[0]
-        upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
-        least = [j for j in upper if all(leq[j][z] for z in upper)]
-        if len(least) != 1:
+        j = by_up.get(up[x] & up[y])
+        if j is None:
             raise NotALatticeError(
                 f"incomparable pair ({x}, {y}) has no join in the imp-order", (x, y)
             )
-        join[x][y] = least[0]
+        meet[x][y], join[x][y] = m, j
     return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 

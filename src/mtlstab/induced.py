@@ -33,12 +33,9 @@ class NotMvError(ValueError):
     pass
 
 
-def _require_idempotent(A: FiniteMtlAlgebra, x: int, permissive: bool) -> None:
-    if not permissive and A.mul[x][x] != x:
-        raise NotIdempotentError(
-            f"element {A.labels[x]} is not idempotent; "
-            "pass permissive=True to explore anyway"
-        )
+def _require_idempotent(A: FiniteMtlAlgebra, x: int) -> None:
+    if A.mul[x][x] != x:
+        raise NotIdempotentError(f"element {A.labels[x]} is not idempotent")
 
 
 @dataclass
@@ -81,13 +78,6 @@ def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
         result.trivial = True
         return result
     pos = {e: i for i, e in enumerate(members)}
-    # Non-idempotent x (permissive mode) can leave a designated constant
-    # outside its own stabilizer.
-    for kind, elt in (("bot", bot_elt), ("top", top_elt)):
-        if elt not in pos:
-            result.closure_violations.append((kind, elt, elt, elt))
-    if result.closure_violations:
-        return result
     violations = result.closure_violations
     mul = _restrict(pos, A.mul, "mul", violations)
     meet = _restrict(pos, A.meet, "meet", violations)
@@ -105,21 +95,19 @@ def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
     return result
 
 
-def left_mult_algebra(A: FiniteMtlAlgebra, x: int,
-                      permissive: bool = False) -> InducedAlgebra:
+def left_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
     """The algebra on mult_left({x}) with bot = x, top = 1."""
     require_validated(A)
-    _require_idempotent(A, x, permissive)
+    _require_idempotent(A, x)
     carrier = mult_left(A, singleton(A, x))
     return _build(A, carrier, x, A.top, A.imp)
 
 
-def right_mult_algebra(A: FiniteMtlAlgebra, x: int,
-                       permissive: bool = False) -> InducedAlgebra:
+def right_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
     """The algebra on mult_right({x}) with bot = 0, top = x and the
     implication a ~> b = mul(x, imp(a, b))."""
     require_validated(A)
-    _require_idempotent(A, x, permissive)
+    _require_idempotent(A, x)
     carrier = mult_right(A, singleton(A, x))
     imp = [[A.mul[x][r] for r in row] for row in A.imp]
     return _build(A, carrier, A.bot, x, imp)
@@ -140,7 +128,7 @@ def order_iso_right(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:
     all asserted; x must be idempotent.
     """
     require_validated(A)
-    _require_idempotent(A, x, permissive=False)
+    _require_idempotent(A, x)
     source = mult_right(A, singleton(A, x))
     target = impl_right(A, singleton(A, x))
     g = {a: A.imp[x][a] for a in source.members()}
@@ -178,7 +166,7 @@ def mv_left_iso(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:
     require_validated(A)
     if not is_mv(A):
         raise NotMvError("left-to-right stabilizer isomorphism needs an MV algebra")
-    _require_idempotent(A, x, permissive=False)
+    _require_idempotent(A, x)
     left = impl_left(A, singleton(A, x))
     right = impl_right(A, singleton(A, x))
     if left != right:

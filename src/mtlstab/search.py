@@ -15,7 +15,7 @@ from functools import partial
 from itertools import permutations, product
 
 from .core import (FiniteMtlAlgebra, NotALatticeError, _derive_lattice,
-                   construct, validate)
+                   _mask, construct, validate)
 from .classify import is_mv
 from .induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
 from .order import all_filters
@@ -36,18 +36,6 @@ class UnknownFamilyError(ValueError):
 
 class SizeRangeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EnumerationSpec:
-    size: int
-    chains_only: bool = False
-    dedup: bool = True
-    limit: int | None = None
-
-    def __post_init__(self):
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be at least 1, got {self.limit}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +104,7 @@ def enumerate_chains(n: int, jobs: int = 1) -> list[FiniteMtlAlgebra]:
     """
     if not 2 <= n <= CHAIN_MAX:
         raise SizeRangeError(f"chain enumeration supports sizes 2..{CHAIN_MAX}")
-    chain = (tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
-             tuple(tuple(max(x, y) for y in range(n)) for x in range(n)))
+    chain = _derive_lattice(n, [(1 << n) - (1 << x) for x in range(n)], 0, n - 1)
     (tables,) = pmap(partial(_tables_on_lattice, n), [chain], jobs)
     out = []
     for idx, (mul, imp) in enumerate(sorted(tables)):
@@ -215,15 +202,15 @@ def _bounded_lattices(n: int) -> list[tuple]:
     isomorphism class appears at least once."""
     interior = range(1, n - 1)
     pairs = [(i, j) for i in interior for j in interior if i < j]
+    base = [(1 << n) - 1] + [1 << x | 1 << (n - 1) for x in range(1, n)]
     lattices = []
     for bitmask in range(1 << len(pairs)):
-        leq = [[x == y or x == 0 or y == n - 1 for y in range(n)]
-               for x in range(n)]
+        up = list(base)
         for k, (i, j) in enumerate(pairs):
             if bitmask >> k & 1:
-                leq[i][j] = True
+                up[i] |= 1 << j
         try:
-            lattices.append(_derive_lattice(n, leq, 0, n - 1))
+            lattices.append(_derive_lattice(n, up, 0, n - 1))
         except NotALatticeError:
             continue
     return lattices
@@ -246,13 +233,13 @@ def _tables_on_lattice(n: int, lattice: tuple) -> list[tuple]:
     top = n - 1
     rng = range(n)
     inner = range(1, top)
-    leq = [[meet[x][y] == x for y in rng] for x in rng]
+    up = [_mask(meet[x], x) for x in rng]
+    down = [sum(1 << y for y in rng if meet[x][y] == y) for x in rng]
     # bot is left out of the covers: mul(bot, y) = bot adds nothing to a join
-    covers = [[p for p in range(1, x) if leq[p][x]
-               and not any(leq[p][r] and leq[r][x] for r in range(p + 1, x))]
+    covers = [[p for p in range(1, x) if up[p] & down[x] == 1 << p | 1 << x]
               for x in rng]
-    between = [[tuple(z for z in rng if leq[a][z] and leq[z][b]) for b in rng]
-               for a in rng]
+    between = [[tuple(z for z in rng if (up[a] & down[b]) >> z & 1)
+                for b in rng] for a in rng]
     entries = [(i, j) for i in inner for j in range(i, top)]
     below = [[(p, j) for p in covers[i]] + [(i, q) for q in covers[j]]
              for i, j in entries]
@@ -274,11 +261,12 @@ def _tables_on_lattice(n: int, lattice: tuple) -> list[tuple]:
             mx = mul[x]
             row = []
             for y in rng:
+                dy = down[y]
                 j = 0
                 for z in rng:
-                    if leq[mx[z]][y]:
+                    if dy >> mx[z] & 1:
                         j = join[j][z]
-                if not leq[mx[j]][y]:
+                if not dy >> mx[j] & 1:
                     return
                 row.append(j)
             imp.append(tuple(row))
@@ -360,14 +348,6 @@ def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
     else:
         ordered = plain
     return [replace(A, name=f"alg{n}_{idx}") for idx, A in enumerate(ordered)]
-
-
-def enumerate_models(spec: EnumerationSpec, jobs: int = 1) -> list[FiniteMtlAlgebra]:
-    if spec.chains_only:
-        out = enumerate_chains(spec.size, jobs)
-    else:
-        out = enumerate_all(spec.size, jobs, dedup=spec.dedup)
-    return out[: spec.limit]
 
 
 # ---------------------------------------------------------------------------

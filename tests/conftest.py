@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from mtlstab import construct, validate
+from mtlstab import NotALatticeError, construct, validate
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
 
 
@@ -24,6 +26,43 @@ def relabel(A, order):
                   name=A.name)
     assert validate(B).valid
     return B
+
+
+def derive_lattice_oracle(n, leq, bot, top):
+    """The O(n^4) lattice derivation from an n x n bool matrix, kept as the
+    oracle for the library's mask routine `core._derive_lattice`: the same
+    checks in the same order, each with the same message and pair."""
+    for x in range(n):
+        if not leq[x][x]:
+            raise NotALatticeError(f"imp-order is not reflexive at element {x}")
+    for x, y in product(range(n), repeat=2):
+        if x != y and leq[x][y] and leq[y][x]:
+            raise NotALatticeError(f"imp-order is not antisymmetric at ({x}, {y})", (x, y))
+    for x, y, z in product(range(n), repeat=3):
+        if leq[x][y] and leq[y][z] and not leq[x][z]:
+            raise NotALatticeError(f"imp-order is not transitive at ({x}, {y}, {z})")
+    for x in range(n):
+        if not (leq[bot][x] and leq[x][top]):
+            raise NotALatticeError(f"element {x} is not between bot and top")
+
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for x, y in product(range(n), repeat=2):
+        lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
+        greatest = [m for m in lower if all(leq[z][m] for z in lower)]
+        if len(greatest) != 1:
+            raise NotALatticeError(
+                f"incomparable pair ({x}, {y}) has no meet in the imp-order", (x, y)
+            )
+        meet[x][y] = greatest[0]
+        upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
+        least = [j for j in upper if all(leq[j][z] for z in upper)]
+        if len(least) != 1:
+            raise NotALatticeError(
+                f"incomparable pair ({x}, {y}) has no join in the imp-order", (x, y)
+            )
+        join[x][y] = least[0]
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
 def _make(n, mul, imp, labels, name):

@@ -143,18 +143,27 @@ def _timed_search(problem, path):
 
 @pytest.mark.parametrize("problem", ["1", "2"])
 def test_search_file_is_bounded_on_64_element_chain(tmp_path, problem):
-    # gen stops at 26 elements, so the 64-element Lukasiewicz chain is built
-    # here; a scan over the 2^64 subsets would never return
+    # gen stops at 26 elements, so the 64-element Lukasiewicz chain and the
+    # Boolean algebra 2^6 (elements are bit sets) are built here; a scan over
+    # the 2^64 subsets would never return.  The files leave out the meet and
+    # join blocks, so the parse derives both lattices from the imp-order.
     n, top = 64, 63
-    A = construct(n, [[max(0, x + y - top) for y in range(n)] for x in range(n)],
+    algebras = [
+        construct(n, [[max(0, x + y - top) for y in range(n)] for x in range(n)],
                   [[min(top, top - x + y) for y in range(n)] for x in range(n)],
-                  labels=[f"e{x}" for x in range(n)], name="lukasiewicz64")
-    path = tmp_path / "luk64.alg"
-    path.write_text(serialize_algebra(A, include_lattice=True))
-    code, out, seconds = _timed_search(problem, path)
-    assert code in (0, 1)
-    assert "search\tscanned\t1\n" in out
-    assert seconds < 10
+                  labels=[f"e{x}" for x in range(n)], name="lukasiewicz64"),
+        construct(n, [[x & y for y in range(n)] for x in range(n)],
+                  [[(top ^ x) | y for y in range(n)] for x in range(n)],
+                  labels=[f"e{x}" for x in range(n)], name="boolean64"),
+    ]
+    for A in algebras:
+        path = tmp_path / f"{A.name}.alg"
+        path.write_text(serialize_algebra(A))
+        assert "meet" not in path.read_text()
+        code, out, seconds = _timed_search(problem, path)
+        assert code in (0, 1)
+        assert "search\tscanned\t1\n" in out
+        assert seconds < 10
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,5 +1,10 @@
+import random
+import re
+from itertools import product
+
 import pytest
 
+from conftest import derive_lattice_oracle
 from mtlstab import (
     LatticeMismatchError,
     NotALatticeError,
@@ -13,6 +18,7 @@ from mtlstab import (
     replay_violation,
     validate,
 )
+from mtlstab.core import _derive_lattice
 from mtlstab.fixtures import load_fixture_raw
 
 
@@ -147,3 +153,79 @@ def test_product_below_meet(small_corpus):
             for y in range(A.n):
                 m = A.mul[x][y]
                 assert A.meet[m][A.meet[x][y]] == m
+
+
+def _derived(derive, n, order, bot, top):
+    """derive's tables, or the type, message and pair of its refusal."""
+    try:
+        return derive(n, order, bot, top)
+    except NotALatticeError as exc:
+        return type(exc), str(exc), exc.pair
+
+
+def _agree(n, leq, bot, top):
+    up = [sum(1 << y for y in range(n) if leq[x][y]) for x in range(n)]
+    mask = _derived(_derive_lattice, n, up, bot, top)
+    assert mask == _derived(derive_lattice_oracle, n, leq, bot, top), \
+        (n, leq, bot, top)
+    return mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_derive_lattice_matches_oracle_on_every_small_relation(n):
+    for bits in range(1 << n * n):
+        leq = [[bool(bits >> (x * n + y) & 1) for y in range(n)] for x in range(n)]
+        for bot, top in product(range(n), repeat=2):
+            _agree(n, leq, bot, top)
+
+
+def _random_relation(rng: random.Random, n: int) -> list[list[bool]]:
+    """A random relation, a random reflexive one, or the order of a random
+    poset (mostly bounded, sometimes with one pair dropped) on a shuffled
+    carrier."""
+    p = rng.random()
+    kind = rng.choice((0, 1, 2, 3, 3, 3))
+    if kind == 3:           # mid densities lack meets and joins most often
+        p = 0.2 + 0.4 * p
+    if kind < 2:
+        return [[x == y and kind == 1 or rng.random() < p for y in range(n)]
+                for x in range(n)]
+    rank = list(range(n))
+    rng.shuffle(rank)
+    leq = [[rank[x] <= rank[y] and (x == y or rng.random() < p)
+            for y in range(n)] for x in range(n)]
+    if kind == 3:           # least and greatest element in the rank order
+        for x in range(n):
+            leq[rank.index(0)][x] = leq[x][rank.index(n - 1)] = True
+    for k, x, y in product(range(n), repeat=3):
+        leq[x][y] = leq[x][y] or leq[x][k] and leq[k][y]
+    if rng.random() < 0.1:
+        leq[rng.randrange(n)][rng.randrange(n)] = False
+    return leq
+
+
+def test_derive_lattice_matches_oracle_on_random_relations():
+    rng = random.Random(20240607)
+    outcomes = set()
+    for _ in range(20_000):
+        n = rng.randint(2, 7)
+        leq = _random_relation(rng, n)
+        least = [x for x in range(n) if all(leq[x])]
+        greatest = [y for y in range(n) if all(row[y] for row in leq)]
+        if least and greatest and rng.random() < 0.7:
+            bot, top = least[0], greatest[0]
+        else:
+            bot, top = rng.randrange(n), rng.randrange(n)
+        got = _agree(n, leq, bot, top)
+        outcomes.add("lattice" if isinstance(got[0], tuple)
+                     else re.sub(r"\d+", "#", got[1]))
+    # every check of the routine decided some relation
+    assert outcomes == {
+        "lattice",
+        "imp-order is not reflexive at element #",
+        "imp-order is not antisymmetric at (#, #)",
+        "imp-order is not transitive at (#, #, #)",
+        "element # is not between bot and top",
+        "incomparable pair (#, #) has no meet in the imp-order",
+        "incomparable pair (#, #) has no join in the imp-order",
+    }

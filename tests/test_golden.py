@@ -1,7 +1,10 @@
 """Golden `--format machine` reports: the behaviour contract, byte for byte.
 
 Each case runs the CLI in-process and compares stdout with a file under
-`tests/golden/`.  To re-record after a deliberate, documented change:
+`tests/golden/`.  The `*.diagnostic.txt` cases are files that `validate`
+refuses while deriving or checking the lattice: their golden holds the exit
+code and stderr, with the file's directory left out.  To re-record after a
+deliberate, documented change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -9,7 +12,7 @@ Each case runs the CLI in-process and compares stdout with a file under
 import io
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,44 @@ GOLDEN = Path(__file__).parent / "golden"
 FAMILIES = ("lukasiewicz", "godel", "nilpotent_minimum")
 FAMILY_SIZE = 9      # the smallest carrier whose int sets iterate unsorted
 ENUM_SIZES = (2, 3, 4, 5)
+
+# Orders that fail one lattice check each, as (labels, pairs added to and
+# pairs removed from x <= x, 0 <= x <= 1).  The first label is bot and the
+# last top.  The bowtie (a, b below both c and d) lacks a join of a and b
+# and a meet of c and d; its carrier order decides which pair fails first.
+LATTICE_DIAGNOSTICS = {
+    "non-reflexive": ("0 a 1", "", "a<=a"),
+    "non-antisymmetric": ("0 a b 1", "a<=b b<=a", ""),
+    "non-transitive": ("0 a b c 1", "a<=b b<=c", ""),
+    "outside-bounds": ("0 a 1", "", "a<=1"),
+    "bowtie-no-meet": ("0 c d a b 1", "a<=c a<=d b<=c b<=d", ""),
+    "bowtie-no-join": ("0 a b c d 1", "a<=c a<=d b<=c b<=d", ""),
+    "declared-mismatch": ("0 a b 1", "", ""),
+}
+
+
+def _order_file(name: str) -> str:
+    """An algebra file whose imp-order is LATTICE_DIAGNOSTICS[name]; the
+    mismatch case declares the chain lattice over the same carrier."""
+    labels, added, removed = LATTICE_DIAGNOSTICS[name]
+    labels = labels.split()
+    bot, top = labels[0], labels[-1]
+    order = {(x, x) for x in labels} | {(bot, x) for x in labels} \
+        | {(x, top) for x in labels}
+    order |= {tuple(p.split("<=")) for p in added.split()}
+    order -= {tuple(p.split("<=")) for p in removed.split()}
+    imp = [" ".join(top if (x, y) in order else bot for y in labels)
+           for x in labels]
+    lines = [f"algebra {name}", f"size {len(labels)}",
+             "labels " + " ".join(labels), f"bot {bot}", f"top {top}", "mul"]
+    lines += [" ".join(bot for _ in labels)] * len(labels)
+    lines += ["imp"] + imp
+    if name == "declared-mismatch":
+        for keyword, pick in (("meet", min), ("join", max)):
+            lines.append(keyword)
+            lines += [" ".join(labels[pick(i, j)] for j in range(len(labels)))
+                      for i in range(len(labels))]
+    return "\n".join(lines + ["end"]) + "\n"
 
 
 def _cases() -> list[tuple[str, tuple]]:
@@ -37,6 +78,8 @@ def _cases() -> list[tuple[str, tuple]]:
                       ("verify", "family", family)))
     for size in ENUM_SIZES:
         cases.append((f"enumerate-{size}.txt", ("enumerate", size)))
+    for name in LATTICE_DIAGNOSTICS:
+        cases.append((f"{name}.diagnostic.txt", ("validate", "diagnostic", name)))
     return cases
 
 
@@ -47,12 +90,23 @@ def _machine_stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _diagnostic(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv + ["--format", "machine"])
+    assert out.getvalue() == ""
+    return f"exit {code}\n{err.getvalue()}"
+
+
 def _render(case: tuple, workdir: Path) -> str:
     command = case[0]
     if command == "enumerate":
         return _machine_stdout(["enumerate", "--size", str(case[1])])
     kind, name = case[1], case[2]
     path = workdir / f"{name}.alg"
+    if kind == "diagnostic":
+        path.write_text(_order_file(name))
+        return _diagnostic(["validate", str(path)]).replace(str(path), path.name)
     if kind == "fixture":
         path.write_text(fixture_text(name))
     else:

@@ -3,16 +3,17 @@ from itertools import product
 
 import pytest
 
+from conftest import derive_lattice_oracle
 from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
                      impl_right, singleton)
 from mtlstab import _pool
 from mtlstab.classify import is_chain, is_godel, is_imtl, is_mv
-from mtlstab.core import LatticeMismatchError, construct, validate
+from mtlstab.core import (LatticeMismatchError, NotALatticeError, construct,
+                          validate)
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
 from mtlstab.induced import check_mtl_iso
 from mtlstab.search import (
     FAMILIES,
-    EnumerationSpec,
     SizeRangeError,
     SearchFinding,
     UnknownFamilyError,
@@ -21,7 +22,6 @@ from mtlstab.search import (
     enumerate_all,
     enumerate_chains,
     enumerate_chains_via_residuum,
-    enumerate_models,
     gen_family,
     open1_scan,
     open2_premise,
@@ -119,6 +119,26 @@ def test_enumerate_all_5_contains_the_diamond_fixture(fixtures):
     assert canonical_form(fixtures["n5"]) in forms
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_bounded_lattices_match_the_oracle(n):
+    # every order on 0..n-1 with 0 least and n-1 greatest that refines the
+    # integer order, derived by the O(n^4) bool-matrix oracle
+    interior = range(1, n - 1)
+    pairs = [(i, j) for i in interior for j in interior if i < j]
+    expected = []
+    for bitmask in range(1 << len(pairs)):
+        leq = [[x == y or x == 0 or y == n - 1 for y in range(n)]
+               for x in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if bitmask >> k & 1:
+                leq[i][j] = True
+        try:
+            expected.append(derive_lattice_oracle(n, leq, 0, n - 1))
+        except NotALatticeError:
+            continue
+    assert _bounded_lattices(n) == expected
+
+
 def naive_algebras(n):
     """Every table with unit top, absorbing bot and commutativity on each
     bounded lattice, kept when construct and validate accept it; imp(x, y)
@@ -177,14 +197,14 @@ def test_enumeration_size_limits():
 
 
 def test_enumeration_spec_limit_and_dedup():
-    got = enumerate_models(EnumerationSpec(size=4, chains_only=True, limit=3))
-    assert len(got) == 3
-    raw = enumerate_models(EnumerationSpec(size=4, dedup=False))
-    deduped = enumerate_models(EnumerationSpec(size=4))
+    # the CLI's --limit is a prefix of the full list; --no-dedup is dedup=False
+    got = enumerate_chains(4)[:3]
+    assert [A.name for A in got] == ["chain4_0", "chain4_1", "chain4_2"]
+    raw = enumerate_all(4, dedup=False)
+    deduped = enumerate_all(4)
     assert len(raw) >= len(deduped)
-    for limit in (0, -1):
-        with pytest.raises(ValueError):
-            EnumerationSpec(size=4, limit=limit)
+    assert {canonical_form(A) for A in raw} \
+        == {canonical_form(A) for A in deduped}
 
 
 def test_canonical_form_properties(fixtures, diamond):

@@ -6,13 +6,21 @@ lattice in natural labelling; chain enumeration is the case of the n-chain
 alone.  Monotonicity is enforced while filling, against lower covers only;
 associativity, the residuum max{z | mul(x, z) <= y} and prelinearity are
 checked on finished tables.
+
+The canonical form, which names and deduplicates enumerated algebras, is the
+lexicographically least table serialization over carrier relabellings fixing
+bot and top.  A branch-and-bound search places interior elements one position
+at a time and cuts a branch once a lower bound on its serializations reaches
+the best one found; the result is byte-identical to a scan of all (n-2)!
+permutations, kept as a test oracle.  Carriers stay capped at 10 elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import permutations, product
+from itertools import product
+from operator import itemgetter
 
 from .core import (FiniteMtlAlgebra, NotALatticeError, _derive_lattice,
                    _mask, construct, validate)
@@ -295,29 +303,88 @@ def _tables_on_lattice(n: int, lattice: tuple) -> list[tuple]:
 
 def canonical_form(A: FiniteMtlAlgebra) -> bytes:
     """Lexicographically minimal (mul, imp) serialization over carrier
-    permutations fixing bot and top; equal exactly for isomorphic algebras."""
+    relabellings that put bot at 0 and top at n-1; equal exactly for
+    isomorphic algebras.  Carriers above 10 elements raise SizeRangeError.
+
+    The form is found by depth-first search: position k+1 is given to each
+    free interior element in turn, once positions 0..k are placed.  A node
+    is cut when a componentwise lower bound on every serialization below it
+    is lexicographically at or above the best one found so far.  In the
+    bound an entry whose row and column are placed is the image of its
+    value, or k+1, the smallest image still free, when the value is free
+    itself; an entry in an unplaced row or column is the least of these
+    over the free elements.  At a leaf the bound is the serialization.  The
+    result is byte-identical to the minimum over all (n-2)! permutations,
+    which `tests/conftest.canonical_form_oracle` computes by scanning them.
+    """
     if not A.validated:
         raise ValueError("canonical form needs a validated algebra")
-    if A.n > 10:
+    n, bot, top = A.n, A.bot, A.top
+    if n > 10:
         raise SizeRangeError("canonical form is for enumeration-scale carriers")
-    rest = [x for x in range(A.n) if x not in (A.bot, A.top)]
-    best: bytes | None = None
-    for perm in permutations(range(1, A.n - 1)):
-        image = {A.bot: 0, A.top: A.n - 1}
-        for src, dst in zip(rest, perm):
-            image[src] = dst
-        buf = bytearray()
-        for table in (A.mul, A.imp):
-            rows = [[0] * A.n for _ in range(A.n)]
-            for x in range(A.n):
-                for y in range(A.n):
-                    rows[image[x]][image[y]] = image[table[x][y]]
-            for row in rows:
-                buf.extend(row)
-        cand = bytes(buf)
-        if best is None or cand < best:
-            best = cand
-    return best
+    tables = [[bytes(row) for row in table] for table in (A.mul, A.imp)]
+    # element -> position; every free element holds the smallest free position
+    image = bytearray(256)
+    image[:n] = bytes([1]) * n
+    image[bot], image[top] = 0, n - 1
+    placed = [bot]                      # the elements at positions 0..k
+    free = [x for x in range(n) if x not in (bot, top)]
+    best: tuple[bytes, ...] | None = None
+
+    def bound():
+        """The rows of the lower bound, in serialization order.  A row is
+        picked from its translated table row extended by the least value
+        over the free columns, at index n."""
+        f = len(free)
+        columns = itemgetter(*placed, *[n] * f, top)
+        if f:
+            # free[0] twice, so that one free element still gives a tuple
+            over_free = itemgetter(*free, free[0])
+
+        def row(t: bytes) -> bytes:
+            if f:
+                t += bytes((min(over_free(t)),))
+            return bytes(columns(t))
+
+        for rows in tables:
+            for x in placed:
+                yield row(rows[x].translate(image))
+            if f:
+                low = zip(*(rows[x].translate(image) for x in free))
+                unplaced = row(bytes(map(min, low)))
+                for _ in range(f):
+                    yield unplaced
+            yield row(rows[top].translate(image))
+
+    def below_best(rows) -> bool:
+        for got, have in zip(rows, best):
+            if got != have:
+                return got < have
+        return False
+
+    def descend() -> None:
+        nonlocal best
+        if not free:
+            rows = tuple(bound())
+            if best is None or rows < best:
+                best = rows
+            return
+        if best is not None and not below_best(bound()):
+            return
+        position = len(placed)
+        for x in list(free):
+            free.remove(x)
+            placed.append(x)
+            for y in free:
+                image[y] = position + 1
+            descend()
+            placed.pop()
+            for y in free:
+                image[y] = position
+            free.append(x)
+
+    descend()
+    return b"".join(best)
 
 
 def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -65,8 +65,51 @@ def derive_lattice_oracle(n, leq, bot, top):
     return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
-def _make(n, mul, imp, labels, name):
-    A = construct(n, mul, imp, labels=labels, name=name)
+def canonical_form_oracle(A):
+    """The (n-2)! permutation scan for n <= 9, kept as the oracle for the
+    library's branch-and-bound `search.canonical_form`: the lexicographically
+    minimal (mul, imp) serialization over carrier permutations fixing bot
+    and top."""
+    assert A.validated and A.n <= 9
+    rest = [x for x in range(A.n) if x not in (A.bot, A.top)]
+    best = None
+    for perm in permutations(range(1, A.n - 1)):
+        image = {A.bot: 0, A.top: A.n - 1}
+        for src, dst in zip(rest, perm):
+            image[src] = dst
+        buf = bytearray()
+        for table in (A.mul, A.imp):
+            rows = [[0] * A.n for _ in range(A.n)]
+            for x in range(A.n):
+                for y in range(A.n):
+                    rows[image[x]][image[y]] = image[table[x][y]]
+            for row in rows:
+                buf.extend(row)
+        cand = bytes(buf)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def product_algebra(A, B):
+    """The direct product A x B; the pair (a, b) sits at a * B.n + b."""
+    n = A.n * B.n
+
+    def pair(a, b):
+        return a * B.n + b
+
+    def combine(left, right):
+        return [[pair(left[x // B.n][y // B.n], right[x % B.n][y % B.n])
+                 for y in range(n)] for x in range(n)]
+
+    return _make(n, combine(A.mul, B.mul), combine(A.imp, B.imp),
+                 [A.labels[x // B.n] + B.labels[x % B.n] for x in range(n)],
+                 f"{A.name}x{B.name}", bot=pair(A.bot, B.bot),
+                 top=pair(A.top, B.top))
+
+
+def _make(n, mul, imp, labels, name, **bounds):
+    A = construct(n, mul, imp, labels=labels, name=name, **bounds)
     report = validate(A)
     assert report.valid, report.violations
     return A

@@ -1,9 +1,13 @@
 import os
+import random
+import time
+from functools import partial
 from itertools import product
 
 import pytest
 
-from conftest import derive_lattice_oracle
+from conftest import (canonical_form_oracle, derive_lattice_oracle,
+                      product_algebra, relabel)
 from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
                      impl_right, singleton)
 from mtlstab import _pool
@@ -211,12 +215,52 @@ def test_canonical_form_properties(fixtures, diamond):
     a4, b4 = fixtures["a4"], fixtures["b4"]
     assert canonical_form(a4) != canonical_form(b4)
     assert canonical_form(fixtures["a5"]) == canonical_form(fixtures["n5"])
-    # canonical forms agree exactly when an isomorphism exists
-    algs = enumerate_all(4)
-    for A in algs:
-        for B in algs:
-            same = canonical_form(A) == canonical_form(B)
-            assert same == (check_mtl_iso(A, B) is not None)
+    # canonical forms agree exactly when an isomorphism exists, on every
+    # ordered pair of size-5 classes, the second also as a relabelled copy
+    algs = enumerate_all(5)
+    moved = [relabel(B, random.Random(i).sample(range(5), 5))
+             for i, B in enumerate(algs)]
+    pairs = [(A, C) for A in algs for B, B2 in zip(algs, moved) for C in (B, B2)]
+    assert len(pairs) == 2 * 529
+    for A, B in pairs:
+        same = canonical_form(A) == canonical_form(B)
+        assert same == (check_mtl_iso(A, B) is not None), (A.name, B.name)
+
+
+def _off_the_ends(A, seed):
+    """A seeded relabelled copy of A with bot off position 0 and top off
+    position n-1."""
+    rng = random.Random(seed)
+    while True:
+        order = rng.sample(range(A.n), A.n)
+        if order[0] != A.bot and order[-1] != A.top:
+            return relabel(A, order)
+
+
+def test_canonical_form_matches_permutation_oracle():
+    L, G, NM = (partial(gen_family, f) for f in FAMILIES)
+    corpus = [A for n in range(2, 7) for A in enumerate_all(
+        n, allow_large=True, dedup=False)]
+    corpus += [A for n in range(2, 8) for A in enumerate_chains(n)]
+    corpus += [gen_family(f, n) for f in FAMILIES for n in range(2, 10)]
+    corpus += [load_fixture(name) for name in FIXTURE_NAMES]
+    corpus += [product_algebra(product_algebra(G(2), G(2)), G(2)),
+               product_algebra(L(3), L(3)), product_algebra(G(3), G(3)),
+               product_algebra(NM(3), G(3)), product_algebra(G(2), L(4))]
+    for i, A in enumerate(corpus):
+        for B in (A, _off_the_ends(A, 2 * i), _off_the_ends(A, 2 * i + 1)):
+            assert canonical_form(B) == canonical_form_oracle(B), \
+                (A.name, B.bot, B.top)
+
+
+def test_canonical_form_is_fast_at_ten():
+    # the permutation scan takes about 2 s on each of these 10-element algebras
+    algebras = [gen_family(f, 10) for f in FAMILIES]
+    algebras.append(product_algebra(gen_family("godel", 2), gen_family("godel", 5)))
+    start = time.perf_counter()
+    forms = {canonical_form(A) for A in algebras}
+    assert time.perf_counter() - start < 3
+    assert len(forms) == 4
 
 
 def left_stabilizers(A):

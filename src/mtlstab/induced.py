@@ -54,6 +54,11 @@ class InducedAlgebra:
                 and self.report.valid)
 
 
+def _trivial(carrier: Subset) -> bool:
+    """A carrier of fewer than two elements gets no algebra."""
+    return len(carrier) < 2
+
+
 def _restrict(pos: dict[int, int], table, name: str,
               violations: list) -> list[list[int]] | None:
     """`table` on the carrier whose element e sits at position pos[e]."""
@@ -74,7 +79,7 @@ def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
            imp_table) -> InducedAlgebra:
     members = carrier.members()
     result = InducedAlgebra(parent=A, carrier=carrier, embed=members, algebra=None)
-    if len(members) < 2:
+    if _trivial(carrier):
         result.trivial = True
         return result
     pos = {e: i for i, e in enumerate(members)}

@@ -25,9 +25,10 @@ from operator import itemgetter
 from .core import (FiniteMtlAlgebra, NotALatticeError, _derive_lattice,
                    _mask, construct, validate)
 from .classify import is_mv
-from .induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
+from .induced import (_trivial, check_mtl_iso, left_mult_algebra,
+                      right_mult_algebra)
 from .order import all_filters
-from .stabilizers import impl_left, impl_right
+from .stabilizers import impl_left, impl_right, mult_left, mult_right
 from .subsets import singleton
 from ._pool import pmap
 
@@ -389,12 +390,14 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
 
 def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
                   dedup: bool = True) -> list[FiniteMtlAlgebra]:
-    """Every algebra on n elements up to isomorphism, canonical order."""
+    """Every algebra on n elements up to isomorphism, canonical order.
+
+    Sizes 2..FULL_MAX, or up to FULL_MAX_OPTIN with `allow_large`; the
+    SizeRangeError names the range that this call accepts.
+    """
     cap = FULL_MAX_OPTIN if allow_large else FULL_MAX
     if not 2 <= n <= cap:
-        raise SizeRangeError(
-            f"full enumeration supports sizes 2..{FULL_MAX}"
-            f" ({FULL_MAX_OPTIN} with allow_large)")
+        raise SizeRangeError(f"full enumeration supports sizes 2..{cap}")
     lattices = _bounded_lattices(n)
     chunks = pmap(partial(_tables_on_lattice, n), lattices, jobs)
     seen: dict[bytes, FiniteMtlAlgebra] = {}
@@ -461,13 +464,19 @@ def open2_scan(corpus) -> list[SearchFinding]:
 
 
 def open3_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
-    """Idempotents whose two induced stabilizer algebras are not isomorphic."""
+    """Idempotents whose two induced stabilizer algebras are not isomorphic.
+
+    Triviality is decided from the two carriers, mult_left({x}) and
+    mult_right({x}), before either algebra is built: when one has fewer
+    than two elements there is nothing to compare, so neither is built.
+    """
     findings = []
     for x in A.idempotents():
+        X = singleton(A, x)
+        if _trivial(mult_left(A, X)) or _trivial(mult_right(A, X)):
+            continue
         left = left_mult_algebra(A, x)
         right = right_mult_algebra(A, x)
-        if left.trivial or right.trivial:
-            continue
         if not (left.ok and right.ok):
             continue  # a failed construction is a T4.7/T4.8 refutation instead
         if left.algebra.n != right.algebra.n \

@@ -4,6 +4,8 @@ import pytest
 
 from mtlstab import NotALatticeError, construct, validate
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
+from mtlstab.induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
+from mtlstab.search import SearchFinding
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +91,29 @@ def canonical_form_oracle(A):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def open3_scan_oracle(A):
+    """The build-both-then-skip loop, kept as the oracle for the library's
+    `search.open3_scan`, which decides triviality from the two carriers
+    before building either induced algebra."""
+    findings = []
+    for x in A.idempotents():
+        left = left_mult_algebra(A, x)
+        right = right_mult_algebra(A, x)
+        if left.trivial or right.trivial:
+            continue
+        if not (left.ok and right.ok):
+            continue  # a failed construction is a T4.7/T4.8 refutation instead
+        if left.algebra.n != right.algebra.n \
+                or check_mtl_iso(left.algebra, right.algebra) is None:
+            findings.append(SearchFinding(
+                "open3", A, {
+                    "x": A.labels[x],
+                    "left-size": str(left.algebra.n),
+                    "right-size": str(right.algebra.n),
+                }))
+    return findings
 
 
 def product_algebra(A, B):

@@ -141,21 +141,33 @@ def _timed_search(problem, path):
     return code, out, time.perf_counter() - start
 
 
-@pytest.mark.parametrize("problem", ["1", "2"])
+def _chain64(name, mul, imp):
+    n = 64
+    return construct(n, [[mul(x, y) for y in range(n)] for x in range(n)],
+                     [[imp(x, y) for y in range(n)] for x in range(n)],
+                     labels=[f"e{x}" for x in range(n)], name=name)
+
+
+@pytest.mark.parametrize("problem", ["1", "2", "3"])
 def test_search_file_is_bounded_on_64_element_chain(tmp_path, problem):
-    # gen stops at 26 elements, so the 64-element Lukasiewicz chain and the
-    # Boolean algebra 2^6 (elements are bit sets) are built here; a scan over
-    # the 2^64 subsets would never return.  The files leave out the meet and
+    # gen stops at 26 elements, so the 64-element chains and the Boolean
+    # algebra 2^6 (elements are bit sets) are built here; a scan over the
+    # 2^64 subsets would never return.  The files leave out the meet and
     # join blocks, so the parse derives both lattices from the imp-order.
-    n, top = 64, 63
-    algebras = [
-        construct(n, [[max(0, x + y - top) for y in range(n)] for x in range(n)],
-                  [[min(top, top - x + y) for y in range(n)] for x in range(n)],
-                  labels=[f"e{x}" for x in range(n)], name="lukasiewicz64"),
-        construct(n, [[x & y for y in range(n)] for x in range(n)],
-                  [[(top ^ x) | y for y in range(n)] for x in range(n)],
-                  labels=[f"e{x}" for x in range(n)], name="boolean64"),
-    ]
+    # Problem 3 runs on the Lukasiewicz and nilpotent minimum chains; the
+    # Godel chain, whose 62 interior idempotents each induce two algebras,
+    # takes 3.8 s and is left out.
+    top = 63
+    lukasiewicz = _chain64("lukasiewicz64", lambda x, y: max(0, x + y - top),
+                           lambda x, y: min(top, top - x + y))
+    if problem == "3":
+        algebras = [lukasiewicz, _chain64(
+            "nilpotent_minimum64",
+            lambda x, y: 0 if x <= top - y else min(x, y),
+            lambda x, y: top if x <= y else max(top - x, y))]
+    else:
+        algebras = [lukasiewicz, _chain64(
+            "boolean64", lambda x, y: x & y, lambda x, y: (top ^ x) | y)]
     for A in algebras:
         path = tmp_path / f"{A.name}.alg"
         path.write_text(serialize_algebra(A))
@@ -175,6 +187,17 @@ def test_search_problem3_is_bounded_on_gen_26(tmp_path, family):
     assert code in (0, 1)
     assert "search\tproblem\t3\n" in out
     assert seconds < 10
+
+
+def test_size_range_message_names_only_the_cli_sizes(capsys):
+    for argv in (["enumerate", "--size", "6"], ["enumerate", "--size", "1"],
+                 ["search", "--problem", "3", "--size", "6"],
+                 ["search", "--problem", "1", "--size", "7"]):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: full enumeration supports sizes 2..5\n"
 
 
 def test_search_full_premise_flag_is_gone(capsys):

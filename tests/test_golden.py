@@ -1,7 +1,8 @@
 """Golden `--format machine` reports: the behaviour contract, byte for byte.
 
 Each case runs the CLI in-process and compares stdout with a file under
-`tests/golden/`.  The `*.diagnostic.txt` cases are files that `validate`
+`tests/golden/`.  The `search-*` and `*.search-3.txt` cases pin the
+open-problem scans over `enumerate_all` and on the 9-element family chains.  The `*.diagnostic.txt` cases are files that `validate`
 refuses while deriving or checking the lattice: their golden holds the exit
 code and stderr, with the file's directory left out.  To re-record after a
 deliberate, documented change:
@@ -24,6 +25,7 @@ GOLDEN = Path(__file__).parent / "golden"
 FAMILIES = ("lukasiewicz", "godel", "nilpotent_minimum")
 FAMILY_SIZE = 9      # the smallest carrier whose int sets iterate unsorted
 ENUM_SIZES = (2, 3, 4, 5)
+SEARCH_SIZES = (4, 5)
 
 # Orders that fail one lattice check each, as (labels, pairs added to and
 # pairs removed from x <= x, 0 <= x <= 1).  The first label is bot and the
@@ -76,8 +78,14 @@ def _cases() -> list[tuple[str, tuple]]:
     for family in FAMILIES:
         cases.append((f"{family}{FAMILY_SIZE}.verify.txt",
                       ("verify", "family", family)))
+        cases.append((f"{family}{FAMILY_SIZE}.search-3.txt",
+                      ("search", "family", family, "3")))
     for size in ENUM_SIZES:
         cases.append((f"enumerate-{size}.txt", ("enumerate", size)))
+    for problem in ("1", "2", "3"):
+        for size in SEARCH_SIZES:
+            cases.append((f"search-{problem}-size{size}.txt",
+                          ("search", "size", str(size), problem)))
     for name in LATTICE_DIAGNOSTICS:
         cases.append((f"{name}.diagnostic.txt", ("validate", "diagnostic", name)))
     return cases
@@ -103,6 +111,9 @@ def _render(case: tuple, workdir: Path) -> str:
     if command == "enumerate":
         return _machine_stdout(["enumerate", "--size", str(case[1])])
     kind, name = case[1], case[2]
+    if kind == "size":
+        return _machine_stdout(["search", "--problem", case[3],
+                                "--size", name])
     path = workdir / f"{name}.alg"
     if kind == "diagnostic":
         path.write_text(_order_file(name))
@@ -115,6 +126,8 @@ def _render(case: tuple, workdir: Path) -> str:
     argv = [command, str(path)]
     if command == "stab":
         argv += ["--set", case[3]]
+    elif command == "search":
+        argv = [command, "--problem", case[3], "--file", str(path)]
     return _machine_stdout(argv)
 
 

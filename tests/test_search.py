@@ -7,10 +7,10 @@ from itertools import product
 import pytest
 
 from conftest import (canonical_form_oracle, derive_lattice_oracle,
-                      product_algebra, relabel)
+                      open3_scan_oracle, product_algebra, relabel)
 from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
                      impl_right, singleton)
-from mtlstab import _pool
+from mtlstab import _pool, induced
 from mtlstab.classify import is_chain, is_godel, is_imtl, is_mv
 from mtlstab.core import (LatticeMismatchError, NotALatticeError, construct,
                           validate)
@@ -283,6 +283,11 @@ def swept_open2_premise(A):
                for X in all_nonempty_subsets(A))
 
 
+ORACLE_SOURCES = (["fixtures", "families"]
+                  + [f"all:{n}" for n in range(2, 7)]
+                  + [f"chains:{n}" for n in range(2, 8)])
+
+
 def _oracle_corpus(source):
     if source == "fixtures":
         return [load_fixture(name) for name in FIXTURE_NAMES]
@@ -294,9 +299,7 @@ def _oracle_corpus(source):
     return enumerate_chains(int(n))
 
 
-@pytest.mark.parametrize("source", ["fixtures", "families"]
-                         + [f"all:{n}" for n in range(2, 7)]
-                         + [f"chains:{n}" for n in range(2, 8)])
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
 def test_open_scans_match_subset_sweeps(source):
     for A in _oracle_corpus(source):
         assert open1_scan(A) == swept_open1(A), A.name
@@ -348,6 +351,35 @@ def test_open3(fixtures, boolean2):
     findings = open3_scan(godel4)
     assert [(f.witness["x"], f.witness["left-size"], f.witness["right-size"])
             for f in findings] == [("a", "3", "2"), ("b", "2", "3")]
+
+
+def _finding_keys(findings):
+    return [(f.problem, f.algebra.name, f.witness) for f in findings]
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
+def test_open3_scan_matches_build_both_oracle(source):
+    for A in _oracle_corpus(source):
+        findings = open3_scan(A)
+        assert all(f.algebra is A for f in findings), A.name
+        assert _finding_keys(findings) == _finding_keys(open3_scan_oracle(A)), \
+            A.name
+
+
+def test_open3_scan_builds_only_the_algebras_it_compares(monkeypatch):
+    # On the Godel chain mult_right({0}) = {0} and mult_left({1}) = {1}, so
+    # only the interior idempotents a and b have two algebras to compare.
+    built = []
+    real_build = induced._build
+
+    def counting_build(A, carrier, bot_elt, top_elt, imp_table):
+        built.append((A.labels[bot_elt], A.labels[top_elt]))
+        return real_build(A, carrier, bot_elt, top_elt, imp_table)
+
+    monkeypatch.setattr(induced, "_build", counting_build)
+    godel4 = gen_family("godel", 4)
+    assert len(open3_scan(godel4)) == 2
+    assert built == [("a", "1"), ("0", "a"), ("b", "1"), ("0", "b")]
 
 
 def test_parallel_enumeration_matches_serial(monkeypatch):

@@ -89,10 +89,6 @@ class ClaimOutcome:
     scope: int
     expected: str = "holds"
 
-    @property
-    def is_failure(self) -> bool:
-        return self.verdict == "refuted"
-
 
 @dataclass(frozen=True)
 class Claim:

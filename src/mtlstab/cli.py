@@ -9,6 +9,7 @@ Reports go to stdout; machine format is selected with --format machine.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -200,7 +201,9 @@ def _cmd_gen(args) -> tuple[Report, int]:
     return report, 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="mtlstab",
         description="Finite MTL-algebra workbench: validation, stabilizers,"

@@ -8,7 +8,7 @@ carrier) counts as a filter; properness is a predicate, not a type.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .core import (FiniteMtlAlgebra, InternalConsistencyError, _downsets, _upsets,
                    require_validated)
@@ -23,56 +23,54 @@ class NotALatticeIdealError(ValueError):
     pass
 
 
-# One routine each for closure, closedness, generation and primality.  A
-# filter is the (mul, upsets) case and a lattice ideal the (join, downsets)
-# case: `table` is the operation the set must be closed under and `cones[x]`
-# the mask of x's upset or downset.  Primality reads the dual lattice
-# operation, join for filters and meet for ideals.
+# One routine each for closedness, generation and primality.  A filter is
+# the (mul, upsets) case and a lattice ideal the (join, downsets) case:
+# `table` is the operation the set must be closed under and `cones[x]` the
+# mask of x's upset or downset.
+#
+# In a finite algebra each such set is the cone of one element, found by
+# `_least`.  The product p of the members of X lies below each of them, and
+# so do its powers; these descend to an idempotent e.  Every filter holding
+# X holds p and its powers, hence e, and the upset of an idempotent is
+# mul-closed, so the upset of e is the least filter holding X.  Join is
+# idempotent, so the least lattice ideal holding X is the downset of the
+# join of its members.  A set is closed exactly when it is the cone of its
+# own `_least`; the improper filter is the upset of bot.
+#
+# Primality reads the complement through the dual lattice operation, join
+# for filters and meet for ideals: a proper filter is prime exactly when its
+# complement is a lattice ideal, and a lattice ideal is prime exactly when
+# its complement is empty or a meet-closed upset.
 
-def _closure(A: FiniteMtlAlgebra, bits: int, cones) -> int:
-    """The union of the cones of the members of `bits`."""
-    out = 0
-    for x in range(A.n):
-        if bits >> x & 1:
-            out |= cones[x]
-    return out
+def _least(A: FiniteMtlAlgebra, bits: int, table) -> int:
+    """`table` folded over the nonempty `bits`, then squared until idempotent."""
+    members = [x for x in range(A.n) if bits >> x & 1]
+    e = members[0]
+    for x in members[1:]:
+        e = table[e][x]
+    while table[e][e] != e:
+        e = table[e][e]
+    return e
 
 
 def _is_closed(A: FiniteMtlAlgebra, S: Subset, table, cones) -> bool:
-    """S is nonempty, closed under `table` and the union of its cones."""
+    """S is nonempty and the cone of its `_least` element."""
     require_validated(A)
-    if S.is_empty():
-        return False
-    for x, y in combinations_with_replacement(S.members(), 2):
-        if table[x][y] not in S:
-            return False
-    return _closure(A, S.bits, cones) == S.bits
+    return not S.is_empty() and cones[_least(A, S.bits, table)] == S.bits
 
 
 def _generated(A: FiniteMtlAlgebra, X: Subset, table, cones) -> Subset:
-    """The least superset of X closed under `table` and cones, by closing
-    under both to a fixed point."""
+    """The least superset of X closed under `table` and cones."""
     require_validated(A)
     require_nonempty(X)
-    bits = _closure(A, X.bits, cones)
-    while True:
-        new = bits
-        members = [x for x in range(A.n) if bits >> x & 1]
-        for x, y in combinations_with_replacement(members, 2):
-            new |= 1 << table[x][y]
-        new = _closure(A, new, cones)
-        if new == bits:
-            return Subset(A, bits)
-        bits = new
+    return Subset(A, cones[_least(A, X.bits, table)])
 
 
-def _is_prime(A: FiniteMtlAlgebra, S: Subset, table) -> bool:
-    """table(x, y) in S forces x or y in S."""
-    for x in range(A.n):
-        for y in range(x, A.n):
-            if table[x][y] in S and x not in S and y not in S:
-                return False
-    return True
+def _is_prime(A: FiniteMtlAlgebra, S: Subset, dual_table, dual_cones) -> bool:
+    """The complement of S is empty or closed under `dual_table` and
+    `dual_cones`."""
+    rest = ~S.bits & (1 << A.n) - 1
+    return not rest or dual_cones[_least(A, rest, dual_table)] == rest
 
 
 def is_filter(A: FiniteMtlAlgebra, F: Subset) -> bool:
@@ -92,16 +90,12 @@ def is_prime_filter(A: FiniteMtlAlgebra, F: Subset) -> bool:
     """Primality of a proper filter: join(x, y) in F forces x or y in F."""
     if not is_proper_filter(A, F):
         raise NotAProperFilterError("primality is defined for proper filters only")
-    return _is_prime(A, F, A.join)
+    return _is_prime(A, F, A.join, _downsets(A))
 
 
 def all_filters(A: FiniteMtlAlgebra) -> list[Subset]:
-    """Every filter, in ascending bit-pattern order.
-
-    In a finite algebra each filter is the upset of its least element (the
-    product of its members), which is idempotent, and the upset of each
-    idempotent is mul-closed.  The improper filter is the upset of bot.
-    """
+    """Every filter, in ascending bit-pattern order: the upsets of the
+    idempotents (see the comment above `_least`)."""
     require_validated(A)
     upsets = _upsets(A)
     return [Subset(A, bits) for bits in sorted(upsets[e] for e in A.idempotents())]
@@ -132,7 +126,7 @@ def is_prime_lattice_ideal(A: FiniteMtlAlgebra, I: Subset) -> bool:
     """Primality of a lattice ideal: meet(x, y) in I forces x or y in I."""
     if not is_lattice_ideal(A, I):
         raise NotALatticeIdealError("argument is not a lattice ideal")
-    return _is_prime(A, I, A.meet)
+    return _is_prime(A, I, A.meet, _upsets(A))
 
 
 def godel_center(A: FiniteMtlAlgebra) -> Subset:

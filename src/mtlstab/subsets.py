@@ -62,9 +62,6 @@ class Subset:
         self._check(other)
         return Subset(self.algebra, self.bits | other.bits)
 
-    def complement(self) -> "Subset":
-        return Subset(self.algebra, ~self.bits & (1 << self.algebra.n) - 1)
-
     def issubset(self, other: "Subset") -> bool:
         self._check(other)
         return self.bits & ~other.bits == 0

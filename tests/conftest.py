@@ -1,11 +1,30 @@
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from mtlstab import NotALatticeError, construct, validate
+from mtlstab import NotALatticeError, Subset, construct, validate
+from mtlstab.core import require_validated
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
 from mtlstab.induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
-from mtlstab.search import SearchFinding
+from mtlstab.search import (FAMILIES, SearchFinding, enumerate_all,
+                            enumerate_chains, gen_family)
+from mtlstab.subsets import require_nonempty
+
+# The corpora that the oracle tests sweep, one test id per source.
+ORACLE_SOURCES = (["fixtures", "families"]
+                  + [f"all:{n}" for n in range(2, 7)]
+                  + [f"chains:{n}" for n in range(2, 8)])
+
+
+def oracle_corpus(source):
+    if source == "fixtures":
+        return [load_fixture(name) for name in FIXTURE_NAMES]
+    if source == "families":
+        return [gen_family(f, n) for f in FAMILIES for n in range(2, 11)]
+    kind, n = source.split(":")
+    if kind == "all":
+        return enumerate_all(int(n), allow_large=True)
+    return enumerate_chains(int(n))
 
 
 @pytest.fixture(scope="session")
@@ -114,6 +133,58 @@ def open3_scan_oracle(A):
                     "right-size": str(right.algebra.n),
                 }))
     return findings
+
+
+# The pair-scan and fixpoint routines for closedness, generation and
+# primality, kept as the oracles for the library's `order` routines, which
+# read each filter or lattice ideal as the cone of one element.  `table` is
+# the operation the set must be closed under and `cones[x]` the mask of x's
+# upset or downset; primality reads the dual lattice operation.
+
+def _closure(A, bits, cones):
+    """The union of the cones of the members of `bits`."""
+    out = 0
+    for x in range(A.n):
+        if bits >> x & 1:
+            out |= cones[x]
+    return out
+
+
+def closed_by_pair_scan(A, S, table, cones):
+    """S is nonempty, closed under `table` and the union of its cones."""
+    require_validated(A)
+    if S.is_empty():
+        return False
+    for x, y in combinations_with_replacement(S.members(), 2):
+        if table[x][y] not in S:
+            return False
+    return _closure(A, S.bits, cones) == S.bits
+
+
+def generated_by_fixpoint(A, X, table, cones):
+    """The least superset of X closed under `table` and cones, by closing
+    under both to a fixed point."""
+    require_validated(A)
+    require_nonempty(X)
+    bits = _closure(A, X.bits, cones)
+    while True:
+        new = bits
+        members = [x for x in range(A.n) if bits >> x & 1]
+        for x, y in combinations_with_replacement(members, 2):
+            new |= 1 << table[x][y]
+        new = _closure(A, new, cones)
+        if new == bits:
+            return Subset(A, bits)
+        bits = new
+
+
+def prime_by_pair_scan(A, S, table):
+    """table(x, y) in S forces x or y in S."""
+    for x in range(A.n):
+        for y in range(x, A.n):
+            if table[x][y] in S and x not in S and y not in S:
+                return False
+    return True
 
 
 def product_algebra(A, B):

@@ -4,9 +4,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from test_golden import GOLDEN, _render
 from mtlstab.algfile import parse_corpus, serialize_algebra
 from mtlstab.classify import is_godel
-from mtlstab.cli import cli_main
+from mtlstab.cli import _build_parser, cli_main
 from mtlstab.core import construct, validate
 from mtlstab.fixtures import fixture_text
 from mtlstab.search import FAMILIES
@@ -56,6 +57,21 @@ def test_unparsable_file_exits_2(tmp_path):
 def test_usage_error_exits_2():
     assert cli_main(["enumerate"]) == 2          # --size missing
     assert cli_main(["no-such-command"]) == 2
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    _build_parser.cache_clear()
+    # a usage error first, so a parse that fails must leave no state behind
+    assert cli_main(["search", "--problem", "1", "--size", "3",
+                     "--file", "x.alg"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    for filename, case in (
+            ("bowtie-no-meet.diagnostic.txt",
+             ("validate", "diagnostic", "bowtie-no-meet")),
+            ("a4.verify.txt", ("verify", "fixture", "a4"))):
+        expected = (GOLDEN / filename).read_text(encoding="utf-8")
+        assert _render(case, tmp_path) == expected
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_stab_machine_records(fixture_file):

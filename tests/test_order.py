@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import (ORACLE_SOURCES, closed_by_pair_scan, generated_by_fixpoint,
+                      oracle_corpus, prime_by_pair_scan)
 from mtlstab import (
     NotALatticeIdealError,
     NotAProperFilterError,
@@ -22,6 +24,7 @@ from mtlstab import (
     singleton,
     subalgebra_violation,
 )
+from mtlstab.core import _downsets, _upsets
 
 
 def brute_filters(A):
@@ -152,6 +155,30 @@ def test_chain_algebras_have_all_proper_filters_and_ideals_prime(fixtures):
         for X in all_nonempty_subsets(A):
             if is_lattice_ideal(A, X):
                 assert is_prime_lattice_ideal(A, X)
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
+def test_cone_routines_match_pair_scan_oracles(source):
+    for A in oracle_corpus(source):
+        ups, downs = _upsets(A), _downsets(A)
+        for bits in range(1 << A.n):
+            S = Subset(A, bits)
+            where = (A.name, S.render())
+            is_f = is_filter(A, S)
+            is_i = is_lattice_ideal(A, S)
+            assert is_f == closed_by_pair_scan(A, S, A.mul, ups), where
+            assert is_i == closed_by_pair_scan(A, S, A.join, downs), where
+            if bits:
+                assert generated_filter(A, S) \
+                    == generated_by_fixpoint(A, S, A.mul, ups), where
+                assert generated_lattice_ideal(A, S) \
+                    == generated_by_fixpoint(A, S, A.join, downs), where
+            if is_f and is_proper_filter(A, S):
+                assert is_prime_filter(A, S) \
+                    == prime_by_pair_scan(A, S, A.join), where
+            if is_i:
+                assert is_prime_lattice_ideal(A, S) \
+                    == prime_by_pair_scan(A, S, A.meet), where
 
 
 def test_godel_center(fixtures, small_corpus):

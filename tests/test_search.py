@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
-from conftest import (canonical_form_oracle, derive_lattice_oracle,
-                      open3_scan_oracle, product_algebra, relabel)
+from conftest import (ORACLE_SOURCES, canonical_form_oracle,
+                      derive_lattice_oracle, open3_scan_oracle, oracle_corpus,
+                      product_algebra, relabel)
 from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
                      impl_right, singleton)
 from mtlstab import _pool, induced
@@ -283,25 +284,9 @@ def swept_open2_premise(A):
                for X in all_nonempty_subsets(A))
 
 
-ORACLE_SOURCES = (["fixtures", "families"]
-                  + [f"all:{n}" for n in range(2, 7)]
-                  + [f"chains:{n}" for n in range(2, 8)])
-
-
-def _oracle_corpus(source):
-    if source == "fixtures":
-        return [load_fixture(name) for name in FIXTURE_NAMES]
-    if source == "families":
-        return [gen_family(f, n) for f in FAMILIES for n in range(2, 11)]
-    kind, n = source.split(":")
-    if kind == "all":
-        return enumerate_all(int(n), allow_large=True)
-    return enumerate_chains(int(n))
-
-
 @pytest.mark.parametrize("source", ORACLE_SOURCES)
 def test_open_scans_match_subset_sweeps(source):
-    for A in _oracle_corpus(source):
+    for A in oracle_corpus(source):
         assert open1_scan(A) == swept_open1(A), A.name
         assert open2_premise(A) == swept_open2_premise(A), A.name
         # the Galois test open1_scan applies to filters, on every subset
@@ -359,7 +344,7 @@ def _finding_keys(findings):
 
 @pytest.mark.parametrize("source", ORACLE_SOURCES)
 def test_open3_scan_matches_build_both_oracle(source):
-    for A in _oracle_corpus(source):
+    for A in oracle_corpus(source):
         findings = open3_scan(A)
         assert all(f.algebra is A for f in findings), A.name
         assert _finding_keys(findings) == _finding_keys(open3_scan_oracle(A)), \

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable
 
@@ -762,25 +762,29 @@ DIVERGENCES = (
 _OPS = dict(SUITE_ORDER, generated_filter=generated_filter)
 
 
-def _same_tables(A: FiniteMtlAlgebra, B: FiniteMtlAlgebra) -> bool:
-    """A and B are the same algebra up to the order of their carriers: the
-    same labels, bot and top, and equal mul and imp under the label map."""
-    if sorted(A.labels) != sorted(B.labels):
-        return False
-    to_b = [B.labels.index(label) for label in A.labels]
-    if to_b[A.bot] != B.bot or to_b[A.top] != B.top:
-        return False
-    return all(to_b[a_table[x][y]] == b_table[to_b[x]][to_b[y]]
-               for a_table, b_table in ((A.mul, B.mul), (A.imp, B.imp))
-               for x in range(A.n) for y in range(A.n))
+def _signature(A: FiniteMtlAlgebra) -> tuple:
+    """A's tables keyed by label: equal exactly for two listings of the same
+    algebra, whatever the order of their carriers."""
+    L, rng = A.labels, range(A.n)
+    return (L[A.bot], L[A.top],
+            frozenset((L[x], L[y], L[A.mul[x][y]], L[A.imp[x][y]])
+                      for x in rng for y in rng))
+
+
+@cache
+def _ledger_signatures() -> dict[str, tuple]:
+    """The signature of each fixture in the ledger, parsed once per process."""
+    from .fixtures import load_fixture_raw
+
+    return {name: _signature(load_fixture_raw(name))
+            for name in {div.fixture for div in DIVERGENCES}}
 
 
 def documented_divergences(A: FiniteMtlAlgebra) -> list[dict[str, str]]:
     """Divergence records applying to this algebra, rendered for reports."""
-    from .fixtures import fixture_size, load_fixture
-
-    names = {div.fixture for div in DIVERGENCES if fixture_size(div.fixture) == A.n}
-    matching = {name for name in names if _same_tables(A, load_fixture(name))}
+    signature = _signature(A)
+    matching = {name for name, known in _ledger_signatures().items()
+                if known == signature}
     records = []
     for div in DIVERGENCES:
         if div.fixture not in matching:

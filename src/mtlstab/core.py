@@ -62,9 +62,6 @@ class FiniteMtlAlgebra:
     name: str = field(default="", compare=False)
     validated: bool = field(default=False, compare=False)
 
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cache
 from importlib import resources
 
 from ..algfile import parse_algebra_file
@@ -15,16 +14,6 @@ def fixture_text(name: str) -> str:
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
     return resources.files(__package__).joinpath(f"{name}.alg").read_text()
-
-
-@cache
-def fixture_size(name: str) -> int:
-    """The fixture's `size` line, read without parsing its tables."""
-    for line in fixture_text(name).splitlines():
-        tokens = line.split("#", 1)[0].split()
-        if tokens[:1] == ["size"]:
-            return int(tokens[1])
-    raise ValueError(f"fixture {name} has no size line")
 
 
 def load_fixture_raw(name: str) -> FiniteMtlAlgebra:

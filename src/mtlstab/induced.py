@@ -40,9 +40,7 @@ def _require_idempotent(A: FiniteMtlAlgebra, x: int) -> None:
 
 @dataclass
 class InducedAlgebra:
-    parent: FiniteMtlAlgebra
     carrier: Subset
-    embed: tuple[int, ...]          # induced index -> parent element
     algebra: FiniteMtlAlgebra | None
     trivial: bool = False
     closure_violations: list[tuple[str, int, int, int]] = field(default_factory=list)
@@ -78,7 +76,7 @@ def _restrict(pos: dict[int, int], table, name: str,
 def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
            imp_table) -> InducedAlgebra:
     members = carrier.members()
-    result = InducedAlgebra(parent=A, carrier=carrier, embed=members, algebra=None)
+    result = InducedAlgebra(carrier=carrier, algebra=None)
     if _trivial(carrier):
         result.trivial = True
         return result

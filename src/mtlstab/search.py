@@ -1,11 +1,18 @@
 """Standard chain families, enumeration of small algebras up to isomorphism,
 canonical forms, and the three open-problem scans.
 
+Every algebra made here, a family chain or an enumerated table, goes
+through one step, `_checked`: `construct` on the chain labels, then
+`validate`.  The families are written in closed form, product and residuum
+side by side.
+
 Enumeration has one table search, `_tables_on_lattice`, run on every bounded
 lattice in natural labelling; chain enumeration is the case of the n-chain
 alone.  Monotonicity is enforced while filling, against lower covers only;
 associativity, the residuum max{z | mul(x, z) <= y} and prelinearity are
-checked on finished tables.
+checked on finished tables.  `enumerate_chains_via_residuum` is the second
+route to the chain tables: it searches implications first and leaves the
+axioms to `validate`.
 
 The canonical form, which names and deduplicates enumerated algebras, is the
 lexicographically least table serialization over carrier relabellings fixing
@@ -59,45 +66,51 @@ def _chain_labels(n: int) -> tuple[str, ...]:
     return tuple(["0"] + interior + ["1"])
 
 
-def _residuum_on_chain(n: int, mul) -> list[list[int]]:
-    imp = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            z = n - 1
-            while mul[x][z] > y:
-                z -= 1
-            imp[x][y] = z
-    return imp
+def _chain(n: int) -> tuple:
+    """(meet, join) of the n-chain 0 < 1 < ... < n-1."""
+    return _derive_lattice(n, [(1 << n) - (1 << x) for x in range(n)], 0, n - 1)
 
 
-def gen_family(family: str, n: int, name: str | None = None) -> FiniteMtlAlgebra:
+def _checked(what: str, n: int, mul, imp, lattice: tuple = (),
+             name: str = "") -> FiniteMtlAlgebra:
+    """`construct` on the chain labels, then `validate`.  The tables come
+    from a generator that should only make algebras, so a table that fails
+    is raised as that generator's fault."""
+    A = construct(n, mul, imp, *lattice, labels=_chain_labels(n), name=name)
+    report = validate(A)
+    if not report.valid:
+        raise AssertionError(f"{what} failed validation: {report.violations[0]}")
+    return A
+
+
+def gen_family(family: str, n: int) -> FiniteMtlAlgebra:
     """The n-element chain of a named family; always validates.
 
-    lukasiewicz: mul(i, j) = max(0, i + j - (n-1)).
-    godel: mul = min.
-    nilpotent_minimum: mul(i, j) = 0 when i <= (n-1) - j, else min(i, j).
+    With top = n-1, imp(i, j) = top whenever i <= j; otherwise
+    lukasiewicz: mul(i, j) = max(0, i + j - top), imp(i, j) = top - i + j;
+    godel: mul(i, j) = min(i, j), imp(i, j) = j;
+    nilpotent_minimum: mul(i, j) = 0 when i + j <= top, else min(i, j),
+    and imp(i, j) = max(top - i, j).
     """
     if n < 2:
         raise SizeRangeError("family chains need at least 2 elements")
     if n > 26:
         raise SizeRangeError("chain labels run out beyond 26 elements")
+    top = n - 1
+    rng = range(n)
     if family == "lukasiewicz":
-        mul = [[max(0, i + j - (n - 1)) for j in range(n)] for i in range(n)]
+        mul = [[max(0, i + j - top) for j in rng] for i in rng]
+        imp = [[min(top, top - i + j) for j in rng] for i in rng]
     elif family == "godel":
-        mul = [[min(i, j) for j in range(n)] for i in range(n)]
+        mul = [[min(i, j) for j in rng] for i in rng]
+        imp = [[top if i <= j else j for j in rng] for i in rng]
     elif family == "nilpotent_minimum":
-        mul = [[0 if i <= (n - 1) - j else min(i, j) for j in range(n)]
-               for i in range(n)]
+        mul = [[0 if i + j <= top else min(i, j) for j in rng] for i in rng]
+        imp = [[top if i <= j else max(top - i, j) for j in rng] for i in rng]
     else:
         raise UnknownFamilyError(f"unknown family {family!r}; "
                                  f"have {', '.join(FAMILIES)}")
-    imp = _residuum_on_chain(n, mul)
-    A = construct(n, mul, imp, labels=_chain_labels(n),
-                  name=name or f"{family}{n}")
-    report = validate(A)
-    if not report.valid:
-        raise AssertionError(f"family table failed validation: {report.violations[0]}")
-    return A
+    return _checked("family table", n, mul, imp, name=f"{family}{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,93 +126,53 @@ def enumerate_chains(n: int, jobs: int = 1) -> list[FiniteMtlAlgebra]:
     """
     if not 2 <= n <= CHAIN_MAX:
         raise SizeRangeError(f"chain enumeration supports sizes 2..{CHAIN_MAX}")
-    chain = _derive_lattice(n, [(1 << n) - (1 << x) for x in range(n)], 0, n - 1)
+    chain = _chain(n)
     (tables,) = pmap(partial(_tables_on_lattice, n), [chain], jobs)
-    out = []
-    for idx, (mul, imp) in enumerate(sorted(tables)):
-        A = construct(n, mul, imp, *chain, labels=_chain_labels(n),
-                      name=f"chain{n}_{idx}")
-        report = validate(A)
-        if not report.valid:
-            raise AssertionError(f"enumerated chain failed validation:"
-                                 f" {report.violations[0]}")
-        out.append(A)
-    return out
+    return [_checked("enumerated chain", n, mul, imp, chain,
+                     name=f"chain{n}_{idx}")
+            for idx, (mul, imp) in enumerate(sorted(tables))]
 
 
 def enumerate_chains_via_residuum(n: int) -> list[tuple]:
     """Independent route: enumerate implication tables first, derive mul.
 
-    Candidate tables fix imp(x, y) = top for x <= y and the top row to the
-    identity; free entries (x > y) range over values >= y, antitone in x and
-    monotone in y.  Candidates must satisfy the exchange law; mul is then
-    recovered as min{z | x <= imp(y, z)} and kept when it is commutative,
-    associative, unital, monotone and adjoint to the original table.
-    Returns sorted (mul, imp) pairs for cross-checking the direct route.
+    imp(x, y) = top exactly when x <= y, and the top row is the identity;
+    the free entries (top > x > y) range over y..top-1, antitone in x and
+    monotone in y, so the imp-order is the chain and `construct` accepts
+    every candidate.  Candidates must satisfy the exchange law; mul is then
+    recovered as min{z | x <= imp(y, z)}, and the pair is kept when
+    `validate` accepts it.  Returns sorted (mul, imp) pairs for
+    cross-checking the direct route, whose search makes its own checks.
     """
-    if not 2 <= n <= 5:
-        raise SizeRangeError("the residuum-first route is for sizes 2..5")
+    if not 2 <= n <= 6:
+        raise SizeRangeError("the residuum-first route is for sizes 2..6")
     top = n - 1
-    entries = [(x, y) for x in range(1, n) for y in range(x) if x != top]
-    imp = [[top if x <= y else 0 for y in range(n)] for x in range(n)]
-    for y in range(n):
-        imp[top][y] = y
+    rng = range(n)
+    chain = _chain(n)
+    entries = [(x, y) for x in range(1, top) for y in range(x)]
+    imp = [[top if x <= y else 0 for y in rng] for x in rng]
+    imp[top] = list(rng)
     results = []
 
-    def ok_partial(x: int, y: int, v: int) -> bool:
-        if v < y:
-            return False
-        if y > 0 and imp[x][y - 1] > v:
-            return False
-        if x - 1 > y and imp[x - 1][y] < v:
-            return False
-        if x == top and v != y:
-            return False
-        return True
-
-    def exchange_ok() -> bool:
-        for x, y, z in product(range(n), repeat=3):
+    def keep() -> None:
+        for x, y, z in product(rng, repeat=3):
             if imp[x][imp[y][z]] != imp[y][imp[x][z]]:
-                return False
-        return True
-
-    def derive() -> None:
-        mul = [[0] * n for _ in range(n)]
-        for x, y in product(range(n), repeat=2):
-            zs = [z for z in range(n) if imp[y][z] >= x]
-            if not zs:
                 return
-            z = min(zs)
-            # the candidate set must be upward closed for min to be the value
-            if any(w >= z and imp[y][w] < x for w in range(n)):
-                return
-            mul[x][y] = z
-        for x, y in product(range(n), repeat=2):
-            if mul[x][y] != mul[y][x] or mul[top][y] != y:
-                return
-        for x, y, z in product(range(n), repeat=3):
-            if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                return
-            if (mul[x][y] <= z) != (x <= imp[y][z]):
-                return
-        for x in range(n - 1):
-            for y in range(n):
-                if mul[x][y] > mul[x + 1][y]:
-                    return
-        results.append((tuple(map(tuple, mul)), tuple(map(tuple, imp))))
+        mul = [[next(z for z in rng if imp[y][z] >= x) for y in rng]
+               for x in rng]
+        if validate(construct(n, mul, imp, *chain)).valid:
+            results.append((tuple(map(tuple, mul)), tuple(map(tuple, imp))))
 
     def fill(k: int) -> None:
         if k == len(entries):
-            if exchange_ok():
-                derive()
+            keep()
             return
         x, y = entries[k]
-        for v in range(n):
-            if not ok_partial(x, y, v):
-                continue
+        lo = imp[x][y - 1] if y else 0
+        hi = imp[x - 1][y] if x - 1 > y else top - 1
+        for v in range(max(y, lo), hi + 1):
             imp[x][y] = v
             fill(k + 1)
-        imp[x][y] = 0
 
     fill(0)
     return sorted(results)
@@ -404,11 +377,7 @@ def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
     plain: list[FiniteMtlAlgebra] = []
     for lattice, chunk in zip(lattices, chunks):
         for mul, imp in chunk:
-            A = construct(n, mul, imp, *lattice, labels=_chain_labels(n))
-            report = validate(A)
-            if not report.valid:
-                raise AssertionError(f"enumerated algebra failed validation:"
-                                     f" {report.violations[0]}")
+            A = _checked("enumerated algebra", n, mul, imp, lattice)
             if dedup:
                 seen.setdefault(canonical_form(A), A)
             else:

@@ -104,40 +104,39 @@ def test_bundles_on_fixtures(small_corpus):
 
 
 def test_divergence_records(fixtures, monkeypatch):
-    loaded = []
-    real_load = fixtures_module.load_fixture
-
-    def counting_load(name):
-        loaded.append(name)
-        return real_load(name)
-
-    monkeypatch.setattr(fixtures_module, "load_fixture", counting_load)
-
     def records(name):
-        loaded.clear()
         found = documented_divergences(fixtures[name])
         return [(d["op"], d["X"], d["computed"], d["reported"], d["match"])
                 for d in found]
 
-    # Only the ledger fixtures of the algebra's size are parsed, each once.
+    # The ledger fixtures are parsed at most once per process: after one
+    # warm-up call, no call parses a fixture.
+    records("g6")
+    loaded = []
+
+    def counting(real):
+        def load(name):
+            loaded.append(name)
+            return real(name)
+        return load
+
+    for loader in ("load_fixture", "load_fixture_raw"):
+        monkeypatch.setattr(fixtures_module, loader,
+                            counting(getattr(fixtures_module, loader)))
+
     a4 = records("a4")
-    assert loaded == ["a4"]
     assert set(a4) == {
         ("mult_left", "a,b", "1", "b,1", "false"),
         ("mult_right", "a,b", "0", "0,b", "false"),
         ("mult_stab", "a,b", "∅", "b", "false"),
     }
     assert records("c5") == [("mult_right", "a,c", "0,a", "0,a,c", "false")]
-    assert sorted(loaded) == ["a5", "c5"]
     assert records("a5") == [("impl_left", "b,1", "a,1", "1", "false")]
-    assert sorted(loaded) == ["a5", "c5"]
     assert records("m6") == [("generated_filter", "a,1", "a,b,1", "a,1", "false")]
-    assert loaded == ["m6"]
     assert records("g6") == []
-    assert loaded == ["m6"]
     # n5 is a5 with its carrier listed as 0,c,a,b,1.
     assert records("n5") == [("impl_left", "b,1", "a,1", "1", "false")]
-    assert sorted(loaded) == ["a5", "c5"]
+    assert loaded == []
 
 
 @pytest.mark.parametrize("name,count", [("a4", 3), ("a5", 1), ("c5", 1),

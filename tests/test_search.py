@@ -11,7 +11,7 @@ from conftest import (ORACLE_SOURCES, canonical_form_oracle,
                       product_algebra, relabel)
 from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
                      impl_right, singleton)
-from mtlstab import _pool, induced
+from mtlstab import _pool, induced, search
 from mtlstab.classify import is_chain, is_godel, is_imtl, is_mv
 from mtlstab.core import (LatticeMismatchError, NotALatticeError, construct,
                           validate)
@@ -95,10 +95,39 @@ def test_chain_enumeration_against_independent_bruteforce():
 
 
 def test_dual_path_agreement():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         via_imp = enumerate_chains_via_residuum(n)
         direct = sorted((A.mul, A.imp) for A in enumerate_chains(n))
         assert via_imp == direct
+
+
+def test_residuum_route_stops_at_six():
+    start = time.monotonic()
+    assert len(enumerate_chains_via_residuum(6)) == EXPECTED_CHAIN_COUNTS[6]
+    assert time.monotonic() - start < 5.0
+    with pytest.raises(SizeRangeError):
+        enumerate_chains_via_residuum(7)
+
+
+def test_enumeration_revalidation_catches_a_broken_table(monkeypatch):
+    # Every table that _tables_on_lattice returns is validated again.  One
+    # table per lattice, with mul(a, b) = mul(b, a) raised to top and imp
+    # left as it was, breaks associativity at (a, a, b).
+    real = search._tables_on_lattice
+
+    def broken(n, lattice):
+        mul, imp = real(n, lattice)[0]
+        mul = [list(row) for row in mul]
+        mul[1][2] = mul[2][1] = n - 1
+        return [(mul, imp)]
+
+    monkeypatch.setattr(search, "_tables_on_lattice", broken)
+    with pytest.raises(AssertionError, match=r"^enumerated chain failed"
+                       r" validation: \('monoid\.assoc', \(1, 1, 2\)\)"):
+        enumerate_chains(4)
+    with pytest.raises(AssertionError, match=r"^enumerated algebra failed"
+                       r" validation: \('monoid\.assoc', \(1, 1, 2\)\)"):
+        enumerate_all(4)
 
 
 def test_enumerate_all_small_sizes(diamond):

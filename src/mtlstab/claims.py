@@ -186,30 +186,37 @@ def _cross_route(table_name: str, op_left, op_right):
 
 
 def _antitone_check(parts):
-    """X a proper subset of Y forces op(Y) <= op(X), for every part, over
-    each domain subset Y and its nonempty proper subsets X in descending bit
-    order.  Operator bits are computed once per subset."""
+    """X a proper subset of Y forces op(Y) <= op(X), for every part, checked
+    on the covering pairs (Y minus y, Y), y ascending, over each domain
+    subset Y.  Operator bits are computed once per domain subset.
+
+    On an exhaustive domain Y's subsets come first, so by transitivity the
+    first failure is at the least failing y, Y's j-th member from 0: the
+    2^j-th pair of the scan over all of Y's proper subsets in descending bit
+    order, whose pair count the scope keeps.  Sampled, it counts covering
+    pairs.  The two-sided stabilizer is left & right and cannot fail first.
+    """
     def check(A):
         def op_bits(bits):
             X = Subset(A, bits)
             return tuple(op(A, X).bits for _, op in parts)
 
-        domain = _subset_domain(A)
-        known = {bits: op_bits(bits) for bits in domain}
+        exhaustive = A.n <= EXHAUSTIVE_LIMIT
+        known = {}
         count = 0
-        for ybits in domain:
-            ys = known[ybits]
-            sub = (ybits - 1) & ybits
-            while sub:
-                count += 1
+        for ybits in _subset_domain(A):
+            ys = known[ybits] = op_bits(ybits)
+            members = Subset(A, ybits).members()
+            covered = [ybits ^ 1 << y for y in members] if len(members) > 1 else []
+            for j, sub in enumerate(covered):
                 xs = known[sub] if sub in known else op_bits(sub)
                 for (name, _), y, x in zip(parts, ys, xs):
                     if y & ~x:
                         return False, {
                             "part": name, "X": Subset(A, sub).render(),
                             "Y": Subset(A, ybits).render(),
-                        }, count
-                sub = (sub - 1) & ybits
+                        }, count + (1 << j if exhaustive else j + 1)
+            count += (1 << len(members)) - 2 if exhaustive else len(covered)
         return True, None, count
     return check
 
@@ -530,11 +537,8 @@ def _build_registry() -> dict[str, Claim]:
         claims.append(Claim(cid, _BASIC_STATEMENTS[cid], _tuple_claim(arity, pred)))
 
     def p241(A):
-        idems = A.idempotents()
-        for e in idems:
-            if A.mul[e][e] != e:
-                return False, {"e": A.labels[e]}, len(idems)
-        return True, None, len(idems)
+        # A.idempotents() selects on mul(e, e) == e: nothing is left to fail.
+        return True, None, len(A.idempotents())
 
     def p242(A):
         count = 0
@@ -554,8 +558,7 @@ def _build_registry() -> dict[str, Claim]:
                         _cross_route("imp", impl_left, impl_right)))
     claims.append(Claim("P3.4.2", "stabilizers are antitone in the subset",
                         _antitone_check((("left", impl_left),
-                                         ("right", impl_right),
-                                         ("stab", impl_stab)))))
+                                         ("right", impl_right)))))
     claims.append(Claim("P3.4.3",
                         "right stabilizer is blind to filter generation",
                         _blind_to_generation(impl_right)))
@@ -633,8 +636,7 @@ def _build_registry() -> dict[str, Claim]:
                         " singletons", _cross_route("mul", mult_left, mult_right)))
     claims.append(Claim("P4.3.2", "mul stabilizers are antitone in the subset",
                         _antitone_check((("left", mult_left),
-                                         ("right", mult_right),
-                                         ("stab", mult_stab)))))
+                                         ("right", mult_right)))))
     claims.append(Claim("P4.3.3",
                         "right mul stabilizer is blind to filter generation",
                         _blind_to_generation(mult_right)))

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from mtlstab import NotALatticeError, Subset, construct, validate
+from mtlstab.claims import _subset_domain
 from mtlstab.core import require_validated
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
 from mtlstab.induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
@@ -133,6 +134,39 @@ def open3_scan_oracle(A):
                     "right-size": str(right.algebra.n),
                 }))
     return findings
+
+
+def antitone_all_pairs_oracle(parts):
+    """The all-pairs scan for n <= 12, kept as the oracle for the library's
+    covering-pair `claims._antitone_check`: X a proper subset of Y forces
+    op(Y) <= op(X), for every part, over each domain subset Y and its
+    nonempty proper subsets X in descending bit order.  Operator bits are
+    computed once per subset."""
+    def check(A):
+        assert A.n <= 12
+
+        def op_bits(bits):
+            X = Subset(A, bits)
+            return tuple(op(A, X).bits for _, op in parts)
+
+        domain = _subset_domain(A)
+        known = {bits: op_bits(bits) for bits in domain}
+        count = 0
+        for ybits in domain:
+            ys = known[ybits]
+            sub = (ybits - 1) & ybits
+            while sub:
+                count += 1
+                xs = known[sub] if sub in known else op_bits(sub)
+                for (name, _), y, x in zip(parts, ys, xs):
+                    if y & ~x:
+                        return False, {
+                            "part": name, "X": Subset(A, sub).render(),
+                            "Y": Subset(A, ybits).render(),
+                        }, count
+                sub = (sub - 1) & ybits
+        return True, None, count
+    return check
 
 
 # The pair-scan and fixpoint routines for closedness, generation and

@@ -1,19 +1,23 @@
 import random
+import time
 
 import pytest
 
-from conftest import relabel
+from conftest import antitone_all_pairs_oracle, oracle_corpus, relabel
 from mtlstab import fixtures as fixtures_module
-from mtlstab import from_labels, impl_left, mult_right, mult_stab, singleton
+from mtlstab import (Subset, from_labels, impl_left, impl_right, impl_stab,
+                     mult_left, mult_right, mult_stab, singleton)
 from mtlstab.claims import (
     UnknownClaimError,
+    _antitone_check,
+    _subset_domain,
     claim_ids,
     documented_divergences,
     outcome_report,
     verify_all,
     verify_claim,
 )
-from mtlstab.search import enumerate_all
+from mtlstab.search import FAMILIES, enumerate_all, gen_family
 
 
 def test_registry_size_and_ids():
@@ -207,3 +211,96 @@ def test_cross_route_catches_corrupted_singleton_mask(claim_id, op, part):
     assert outcome.witness == {"part": part, "whole": literal.render(),
                                "intersection": corrupted.render(),
                                "X": zero.render()}
+
+
+# -- antitone claims: covering pairs against the all-pairs oracle -----------
+
+ANTITONE_PARTS = (
+    (("left", impl_left), ("right", impl_right)),
+    (("left", impl_left), ("right", impl_right), ("stab", impl_stab)),
+    (("left", mult_left), ("right", mult_right)),
+    (("left", mult_left), ("right", mult_right), ("stab", mult_stab)),
+)
+
+
+def _antitone_corpus(source):
+    if source == "families":
+        return [gen_family(f, 9) for f in FAMILIES]
+    return oracle_corpus(source)
+
+
+@pytest.mark.parametrize("source", ["fixtures", "families"]
+                         + [f"all:{n}" for n in range(2, 6)]
+                         + [f"chains:{n}" for n in range(2, 7)])
+def test_antitone_check_matches_all_pairs_oracle(source):
+    for A in _antitone_corpus(source):
+        for parts in ANTITONE_PARTS:
+            assert _antitone_check(parts)(A) == \
+                antitone_all_pairs_oracle(parts)(A), A.name
+
+
+def _fake_operator(rng, n):
+    """An intersection of random one-point masks, antitone by construction,
+    with one element a added to its value at a random Y and at every subset
+    of each Y minus y_i, i < j, where y_j is Y's j-th member from 0.  Only
+    pairs (X, Y) can fail, and the first covering pair that does is
+    (Y minus y_j, Y) unless a already lies in the value there."""
+    masks = [rng.getrandbits(n) for _ in range(n)]
+    ybits = rng.randrange(1, 1 << n)
+    members = [y for y in range(n) if ybits >> y & 1]
+    j, a = rng.randrange(len(members)), rng.randrange(n)
+    widened = [ybits ^ 1 << y for y in members[:j]]
+
+    def op(A, X):
+        bits = (1 << n) - 1
+        for x in X.members():
+            bits &= masks[x]
+        if X.bits == ybits or any(X.bits & ~w == 0 for w in widened):
+            bits |= 1 << a
+        return Subset(A, bits)
+    return op
+
+
+def test_antitone_check_matches_oracle_on_fake_operators():
+    # Corrupting a one-point mask leaves an intersection antitone, so the
+    # fakes widen the values of whole subsets instead.
+    rng = random.Random(12)
+    algebras = [gen_family("lukasiewicz", n) for n in range(2, 8)]
+    parts_seen, depths, held = set(), set(), 0
+    for _ in range(1500):
+        A = rng.choice(algebras)
+        parts = tuple((name, _fake_operator(rng, A.n))
+                      for name in ("left", "right", "stab")[:rng.randint(1, 3)])
+        outcome = _antitone_check(parts)(A)
+        assert outcome == antitone_all_pairs_oracle(parts)(A)
+        if outcome[0]:
+            held += 1
+            continue
+        witness = outcome[1]
+        parts_seen.add(witness["part"])
+        Y, X = witness["Y"].split(","), witness["X"].split(",")
+        depths.add(next(j for j, y in enumerate(Y) if y not in X))
+    assert parts_seen == {"left", "right", "stab"}
+    assert set(range(5)) <= depths
+    assert 0 < held < 500
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_antitone_scope_counts_every_pair(n):
+    A = gen_family("lukasiewicz", n)
+    for claim_id in ("P3.4.2", "P4.3.2"):
+        outcome = verify_claim(A, claim_id)
+        assert (outcome.verdict, outcome.scope) == \
+            ("holds", 3 ** n - 2 ** (n + 1) + 1)
+
+
+@pytest.mark.parametrize("family,n", [("lukasiewicz", 20), ("godel", 26)])
+def test_antitone_claims_are_bounded_when_sampled(family, n):
+    # Above 16 elements the scope counts the covering pairs of each sampled Y.
+    A = gen_family(family, n)
+    pairs = sum(bits.bit_count() for bits in _subset_domain(A)
+                if bits.bit_count() > 1)
+    start = time.monotonic()
+    outcomes = [verify_claim(A, cid) for cid in ("P3.4.2", "P4.3.2")]
+    assert time.monotonic() - start < 10.0
+    assert [(o.verdict, o.scope) for o in outcomes] == [("holds", pairs)] * 2

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import product_algebra, relabel
 from mtlstab import InternalConsistencyError, from_labels
 from mtlstab.induced import (
     NotIdempotentError,
@@ -10,6 +13,7 @@ from mtlstab.induced import (
     order_iso_right,
     right_mult_algebra,
 )
+from mtlstab.search import FAMILIES, gen_family
 
 
 def test_left_algebra_on_a4(fixtures):
@@ -126,6 +130,23 @@ def test_check_mtl_iso(fixtures, diamond):
         for x in range(4):
             for y in range(4):
                 assert swapped[ta[x][y]] == ta[swapped[x]][swapped[y]]
+
+
+def test_check_mtl_iso_preserves_the_lattice(fixtures):
+    # Only mul and imp are compared: the map must still carry meet and join.
+    rng = random.Random(5)
+    corpus = [*fixtures.values(), *(gen_family(f, 9) for f in FAMILIES),
+              product_algebra(gen_family("godel", 3), gen_family("lukasiewicz", 4))]
+    for A in corpus:
+        order = list(range(A.n))
+        rng.shuffle(order)
+        B = relabel(A, order)
+        iso = check_mtl_iso(A, B)
+        assert iso is not None, A.name
+        for name in ("meet", "join"):
+            ta, tb = getattr(A, name), getattr(B, name)
+            assert all(iso[ta[x][y]] == tb[iso[x]][iso[y]]
+                       for x in range(A.n) for y in range(A.n)), (A.name, name)
 
 
 def test_internal_consistency_error_type():

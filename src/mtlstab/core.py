@@ -14,7 +14,9 @@ later operation is a plain table lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache
+from itertools import chain, product
+from operator import getitem
 
 MAX_CARRIER = 64  # subsets of the carrier must fit in one machine word
 
@@ -83,15 +85,12 @@ class FiniteMtlAlgebra:
             object.__setattr__(self, "_masks", cache)
         return cache
 
-    def _fixed_masks(self, key: str, fixed) -> tuple[int, ...]:
-        """Per-element bitmasks, cached under `key`: bit a of masks[x] is set
-        when fixed(a, x)."""
+    def _fixed_masks(self, key: str, build) -> tuple[int, ...]:
+        """Per-element bitmasks, cached under `key` as tuple(build())."""
         cache = self._mask_cache()
         masks = cache.get(key)
         if masks is None:
-            masks = tuple(sum(1 << a for a in range(self.n) if fixed(a, x))
-                          for x in range(self.n))
-            cache[key] = masks
+            masks = cache[key] = tuple(build())
         return masks
 
     def upset_mask(self, x: int) -> int:
@@ -103,12 +102,12 @@ class FiniteMtlAlgebra:
 
 def _upsets(A: FiniteMtlAlgebra) -> tuple[int, ...]:
     """Bit y of _upsets(A)[x] is set when x <= y."""
-    return A._fixed_masks("up", lambda y, x: A.meet[x][y] == x)
+    return A._fixed_masks("up", lambda: map(_mask, A.meet, range(A.n)))
 
 
 def _downsets(A: FiniteMtlAlgebra) -> tuple[int, ...]:
     """Bit y of _downsets(A)[x] is set when y <= x."""
-    return A._fixed_masks("down", lambda y, x: A.meet[y][x] == y)
+    return A._fixed_masks("down", lambda: map(_fixed_points, zip(*A.meet)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,19 @@ def construct(
 
 def _mask(row, value: int) -> int:
     """Bit y is set when row[y] == value."""
-    return sum(1 << y for y, v in enumerate(row) if v == value)
+    return int(bytes(row).translate(_flag(value, b"1", b"0"))[::-1], 2)
+
+
+@cache
+def _flag(value: int, on: bytes = b"\1", off: bytes = b"\0") -> bytes:
+    """The `translate` table mapping byte `value` to `on`, the rest to `off`;
+    values are carrier elements, so at most 2 x 64 tables are cached."""
+    return off * value + on + off * (255 - value)
+
+
+def _fixed_points(row) -> int:
+    """Bit y is set when row[y] == y."""
+    return sum(1 << y for y, v in enumerate(row) if v == y)
 
 
 def _lowest(mask: int) -> int:
@@ -250,59 +261,78 @@ def _derive_lattice(n: int, up, bot: int, top: int) -> tuple[Table, Table]:
     return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
-# Axiom identifiers used in validation reports.  Witnesses are the element
-# tuples at which the named law fails; replay_violation() re-evaluates them.
-AXIOMS = (
-    "lattice.meet.comm", "lattice.join.comm",
-    "lattice.meet.assoc", "lattice.join.assoc",
-    "lattice.absorption", "lattice.bounds",
-    "monoid.comm", "monoid.assoc", "monoid.unit",
-    "adjointness", "prelinearity", "order.consistency",
-)
+# Each axiom as (arity, law on the algebra and an element tuple), in the order
+# validate() lists violations: pairs, singles, then triples.  Witnesses are the
+# tuples where a law fails; replay_violation() re-evaluates them.
+_LAWS = {
+    "lattice.meet.comm": (2, lambda A, x, y: A.meet[x][y] == A.meet[y][x]),
+    "lattice.join.comm": (2, lambda A, x, y: A.join[x][y] == A.join[y][x]),
+    "lattice.absorption": (2, lambda A, x, y:
+                           A.meet[x][A.join[x][y]] == x == A.join[x][A.meet[x][y]]),
+    "monoid.comm": (2, lambda A, x, y: A.mul[x][y] == A.mul[y][x]),
+    "prelinearity": (2, lambda A, x, y: A.join[A.imp[x][y]][A.imp[y][x]] == A.top),
+    "order.consistency": (2, lambda A, x, y:
+                          (A.meet[x][y] == x) == (A.imp[x][y] == A.top)),
+    "lattice.bounds": (1, lambda A, x: A.meet[A.bot][x] == A.bot
+                       and A.join[A.top][x] == A.top
+                       and A.meet[A.top][x] == x and A.join[A.bot][x] == x),
+    "monoid.unit": (1, lambda A, x: A.mul[A.top][x] == x),
+    "lattice.meet.assoc": (3, lambda A, x, y, z:
+                           A.meet[A.meet[x][y]][z] == A.meet[x][A.meet[y][z]]),
+    "lattice.join.assoc": (3, lambda A, x, y, z:
+                           A.join[A.join[x][y]][z] == A.join[x][A.join[y][z]]),
+    "monoid.assoc": (3, lambda A, x, y, z:
+                     A.mul[A.mul[x][y]][z] == A.mul[x][A.mul[y][z]]),
+    "adjointness": (3, lambda A, x, y, z: (A.meet[A.mul[x][y]][z] == A.mul[x][y])
+                    == (A.meet[x][A.imp[y][z]] == x)),
+}
+AXIOMS = tuple(_LAWS)
+
+
+def _rows_hold(A: FiniteMtlAlgebra) -> bool:
+    """Whether all twelve laws hold, decided on bytes rows.  A row padded to
+    256 bytes is a `translate` table, so one C-level call applies an
+    element's row to a whole row or table: O(n) calls on at most n^3 bytes."""
+    n, bot, top = A.n, A.bot, A.top
+    pad, ident = bytes(256 - n), bytes(range(n))
+    meet, join, mul, imp = rows = [list(map(bytes, t)) for t in (A.meet, A.join, A.mul, A.imp)]
+    flat = [b"".join(t) for t in rows]
+    padded = [[r + pad for r in t] for t in rows[:3]]
+    for table, t, f, p in zip((A.meet, A.join, A.mul), rows, flat, padded):
+        # commutative, and (xy)z == x(yz) for every y and z at once, x by x
+        if table != tuple(zip(*table)) or \
+                b"".join(map(t.__getitem__, f)) != b"".join(map(f.translate, p)):
+            return False
+    up = list(map(bytes.translate, meet, map(_flag, range(n))))  # up[x][z]: x <= z
+    return (meet[bot] == bytes((bot,)) * n and join[top] == bytes((top,)) * n  # bounds
+            and meet[top] == join[bot] == mul[top] == ident  # bounds, unit
+            and b"".join(map(bytes.translate, join, padded[0]))  # absorption
+            == b"".join(map(bytes.translate, meet, padded[1])) == bytes(sorted(ident * n))
+            and b"".join(up) == flat[3].translate(_flag(top))  # order consistency
+            and {top} == set(map(getitem, map(join.__getitem__, flat[3]),  # prelinearity
+                                 chain.from_iterable(zip(*A.imp))))
+            and b"".join(map(up.__getitem__, flat[2]))  # adjointness
+            == b"".join([flat[3].translate(u + pad) for u in up]))
+
+
+def _violations(A: FiniteMtlAlgebra):
+    """Each (axiom, witness) where a law fails, tuple by tuple: O(n^3)."""
+    return ((axiom, tup) for arity in (2, 1, 3)
+            for tup in product(range(A.n), repeat=arity)
+            for axiom, (k, holds) in _LAWS.items() if k == arity and not holds(A, *tup))
 
 
 def validate(A: FiniteMtlAlgebra) -> ValidationReport:
-    """Check every axiom over all tuples; accumulate all violations.
+    """Check every axiom; accumulate all violations.
 
-    O(n^3).  Failures are reported, never raised; a valid result flips the
-    algebra's `validated` flag, after which the value is immutable and safe
-    to share.
+    The rows decide and the loop explains: `_rows_hold` settles all twelve
+    laws with bytes row compares, and only when one fails does the per-tuple
+    loop `_violations` run, listing every violation with its witness.
+    Failures are reported, never raised; a valid result flips the algebra's
+    `validated` flag, after which the value is immutable and safe to share.
     """
-    n = A.n
-    rng = range(n)
-    bad: list[tuple[str, tuple[int, ...]]] = []
-    meet, join, mul, imp = A.meet, A.join, A.mul, A.imp
-
-    for x, y in product(rng, rng):
-        if meet[x][y] != meet[y][x]:
-            bad.append(("lattice.meet.comm", (x, y)))
-        if join[x][y] != join[y][x]:
-            bad.append(("lattice.join.comm", (x, y)))
-        if meet[x][join[x][y]] != x or join[x][meet[x][y]] != x:
-            bad.append(("lattice.absorption", (x, y)))
-        if mul[x][y] != mul[y][x]:
-            bad.append(("monoid.comm", (x, y)))
-        if join[imp[x][y]][imp[y][x]] != A.top:
-            bad.append(("prelinearity", (x, y)))
-        if (meet[x][y] == x) != (imp[x][y] == A.top):
-            bad.append(("order.consistency", (x, y)))
-    for x in rng:
-        if meet[A.bot][x] != A.bot or join[A.top][x] != A.top \
-                or meet[A.top][x] != x or join[A.bot][x] != x:
-            bad.append(("lattice.bounds", (x,)))
-        if mul[A.top][x] != x:
-            bad.append(("monoid.unit", (x,)))
-    for x, y, z in product(rng, rng, rng):
-        if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
-            bad.append(("lattice.meet.assoc", (x, y, z)))
-        if join[join[x][y]][z] != join[x][join[y][z]]:
-            bad.append(("lattice.join.assoc", (x, y, z)))
-        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-            bad.append(("monoid.assoc", (x, y, z)))
-        if (meet[mul[x][y]][z] == mul[x][y]) != (meet[x][imp[y][z]] == x):
-            bad.append(("adjointness", (x, y, z)))
-
-    report = ValidationReport(valid=not bad, violations=tuple(bad))
+    bad = () if _rows_hold(A) else tuple(_violations(A))
+    report = ValidationReport(valid=not bad, violations=bad)
     if report.valid:
         object.__setattr__(A, "validated", True)
     return report
@@ -310,40 +340,9 @@ def validate(A: FiniteMtlAlgebra) -> ValidationReport:
 
 def replay_violation(A: FiniteMtlAlgebra, axiom: str, witness: tuple[int, ...]) -> bool:
     """Return True when the witness still violates the named axiom."""
-    meet, join, mul, imp = A.meet, A.join, A.mul, A.imp
-    w = witness
-    if axiom == "lattice.meet.comm":
-        return meet[w[0]][w[1]] != meet[w[1]][w[0]]
-    if axiom == "lattice.join.comm":
-        return join[w[0]][w[1]] != join[w[1]][w[0]]
-    if axiom == "lattice.absorption":
-        x, y = w
-        return meet[x][join[x][y]] != x or join[x][meet[x][y]] != x
-    if axiom == "monoid.comm":
-        return mul[w[0]][w[1]] != mul[w[1]][w[0]]
-    if axiom == "prelinearity":
-        return join[imp[w[0]][w[1]]][imp[w[1]][w[0]]] != A.top
-    if axiom == "order.consistency":
-        return (meet[w[0]][w[1]] == w[0]) != (imp[w[0]][w[1]] == A.top)
-    if axiom == "lattice.bounds":
-        (x,) = w
-        return meet[A.bot][x] != A.bot or join[A.top][x] != A.top \
-            or meet[A.top][x] != x or join[A.bot][x] != x
-    if axiom == "monoid.unit":
-        return mul[A.top][w[0]] != w[0]
-    if axiom == "lattice.meet.assoc":
-        x, y, z = w
-        return meet[meet[x][y]][z] != meet[x][meet[y][z]]
-    if axiom == "lattice.join.assoc":
-        x, y, z = w
-        return join[join[x][y]][z] != join[x][join[y][z]]
-    if axiom == "monoid.assoc":
-        x, y, z = w
-        return mul[mul[x][y]][z] != mul[x][mul[y][z]]
-    if axiom == "adjointness":
-        x, y, z = w
-        return (meet[mul[x][y]][z] == mul[x][y]) != (meet[x][imp[y][z]] == x)
-    raise KeyError(f"unknown axiom id {axiom!r}")
+    if axiom not in _LAWS:
+        raise KeyError(f"unknown axiom id {axiom!r}")
+    return not _LAWS[axiom][1](A, *witness)
 
 
 def require_validated(A: FiniteMtlAlgebra) -> None:

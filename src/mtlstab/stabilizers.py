@@ -17,7 +17,7 @@ inputs are not.
 
 from __future__ import annotations
 
-from .core import FiniteMtlAlgebra, require_validated
+from .core import FiniteMtlAlgebra, _fixed_points, _mask, require_validated
 from .subsets import Subset, require_nonempty
 
 
@@ -33,12 +33,12 @@ def _intersect(A: FiniteMtlAlgebra, X: Subset, masks: tuple[int, ...]) -> Subset
 
 
 def impl_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("impl_left", lambda a, x: A.imp[a][x] == x)
+    masks = A._fixed_masks("impl_left", lambda: map(_mask, zip(*A.imp), range(A.n)))
     return _intersect(A, X, masks)
 
 
 def impl_right(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("impl_right", lambda a, x: A.imp[x][a] == a)
+    masks = A._fixed_masks("impl_right", lambda: map(_fixed_points, A.imp))
     return _intersect(A, X, masks)
 
 
@@ -47,17 +47,17 @@ def impl_stab(A: FiniteMtlAlgebra, X: Subset) -> Subset:
 
 
 def ortho(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("ortho", lambda a, x: A.join[a][x] == A.top)
+    masks = A._fixed_masks("ortho", lambda: [_mask(c, A.top) for c in zip(*A.join)])
     return _intersect(A, X, masks)
 
 
 def mult_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("mult_left", lambda a, x: A.mul[a][x] == x)
+    masks = A._fixed_masks("mult_left", lambda: map(_mask, zip(*A.mul), range(A.n)))
     return _intersect(A, X, masks)
 
 
 def mult_right(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("mult_right", lambda a, x: A.mul[x][a] == a)
+    masks = A._fixed_masks("mult_right", lambda: map(_fixed_points, A.mul))
     return _intersect(A, X, masks)
 
 

@@ -4,11 +4,12 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from conftest import CHAINS64, chain64
 from test_golden import GOLDEN, _render
 from mtlstab.algfile import parse_corpus, serialize_algebra
 from mtlstab.classify import is_godel
 from mtlstab.cli import _build_parser, cli_main
-from mtlstab.core import construct, validate
+from mtlstab.core import validate
 from mtlstab.fixtures import fixture_text
 from mtlstab.search import FAMILIES
 
@@ -157,33 +158,20 @@ def _timed_search(problem, path):
     return code, out, time.perf_counter() - start
 
 
-def _chain64(name, mul, imp):
-    n = 64
-    return construct(n, [[mul(x, y) for y in range(n)] for x in range(n)],
-                     [[imp(x, y) for y in range(n)] for x in range(n)],
-                     labels=[f"e{x}" for x in range(n)], name=name)
-
-
 @pytest.mark.parametrize("problem", ["1", "2", "3"])
 def test_search_file_is_bounded_on_64_element_chain(tmp_path, problem):
     # gen stops at 26 elements, so the 64-element chains and the Boolean
     # algebra 2^6 (elements are bit sets) are built here; a scan over the
     # 2^64 subsets would never return.  The files leave out the meet and
     # join blocks, so the parse derives both lattices from the imp-order.
-    # Problem 3 runs on the Lukasiewicz and nilpotent minimum chains; the
-    # Godel chain, whose 62 interior idempotents each induce two algebras,
-    # takes 3.8 s and is left out.
-    top = 63
-    lukasiewicz = _chain64("lukasiewicz64", lambda x, y: max(0, x + y - top),
-                           lambda x, y: min(top, top - x + y))
+    # Problem 3 runs on the three family chains; on the Godel chain each of
+    # the 62 interior idempotents induces two algebras to validate.
     if problem == "3":
-        algebras = [lukasiewicz, _chain64(
-            "nilpotent_minimum64",
-            lambda x, y: 0 if x <= top - y else min(x, y),
-            lambda x, y: top if x <= y else max(top - x, y))]
+        algebras = [chain64(name, *tables) for name, tables in CHAINS64.items()]
     else:
-        algebras = [lukasiewicz, _chain64(
-            "boolean64", lambda x, y: x & y, lambda x, y: (top ^ x) | y)]
+        algebras = [chain64("lukasiewicz64", *CHAINS64["lukasiewicz64"]),
+                    chain64("boolean64", lambda x, y: x & y,
+                            lambda x, y: (63 ^ x) | y)]
     for A in algebras:
         path = tmp_path / f"{A.name}.alg"
         path.write_text(serialize_algebra(A))

@@ -1,10 +1,12 @@
 import random
 import re
-from itertools import product
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
-from conftest import derive_lattice_oracle
+from conftest import (CHAINS64, ORACLE_SOURCES, chain64, derive_lattice_oracle,
+                      oracle_corpus, product_algebra, relabel)
 from mtlstab import (
     LatticeMismatchError,
     NotALatticeError,
@@ -18,8 +20,9 @@ from mtlstab import (
     replay_violation,
     validate,
 )
-from mtlstab.core import _derive_lattice
+from mtlstab.core import _derive_lattice, _rows_hold, _violations
 from mtlstab.fixtures import load_fixture_raw
+from mtlstab.search import enumerate_all, enumerate_chains
 
 
 def test_construct_derives_chain_lattice(fixtures):
@@ -84,6 +87,106 @@ def test_validate_roundtrip_from_own_tables(small_corpus):
 def test_validate_is_deterministic(fixtures):
     a4 = fixtures["a4"]
     assert validate(a4) == validate(a4)
+
+
+# -- the row pass against the per-tuple laws --------------------------------
+
+def _laws_hold(A):
+    """The verdict of validate's per-tuple loop, which stops at its first
+    violation here."""
+    return next(_violations(A), None) is None
+
+
+def _moved(A, seed):
+    """A seeded relabelling of A with bot off position 0 and top off n-1."""
+    rng = random.Random(seed)
+    order = list(range(A.n))
+    while order.index(A.bot) == 0 or order.index(A.top) == A.n - 1:
+        rng.shuffle(order)
+    return relabel(A, order)
+
+
+def _mutants(A):
+    """A with one entry of one table changed, or with entries (x, y) and
+    (y, x), x < y, both set to a value v that not both hold already, for
+    every table, position and value; then A with bot or top moved to each
+    other element, which only `lattice.bounds` and the laws that read top
+    see.  Built directly, since construct refuses some of them."""
+    for name in ("mul", "imp", "meet", "join"):
+        table = getattr(A, name)
+        for x, y, v in product(range(A.n), repeat=3):
+            if v != table[x][y]:
+                yield replace(A, **{name: _set(table, {(x, y): v})})
+        for (x, y), v in product(combinations(range(A.n), 2), range(A.n)):
+            if (table[x][y], table[y][x]) != (v, v):
+                yield replace(A, **{name: _set(table, {(x, y): v, (y, x): v})})
+    for v in range(A.n):
+        if v != A.bot:
+            yield replace(A, bot=v)
+        if v != A.top:
+            yield replace(A, top=v)
+
+
+def _set(table, entries):
+    rows = [list(row) for row in table]
+    for (x, y), v in entries.items():
+        rows[x][y] = v
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
+def test_row_pass_accepts_the_oracle_corpora(source):
+    for A in oracle_corpus(source):
+        B = _moved(A, A.n)
+        assert _rows_hold(A) and _laws_hold(A)
+        assert _rows_hold(B) and _laws_hold(B), (A.name, B.bot, B.top)
+
+
+def test_row_pass_accepts_products_and_64_element_chains(small_corpus):
+    chains = enumerate_chains(3) + [small_corpus["boolean2"]]
+    algebras = [product_algebra(A, B) for A, B in product(
+        chains + [small_corpus["a5"]], chains)]
+    algebras.append(product_algebra(algebras[0], small_corpus["c5"]))
+    algebras += [chain64(name, *tables) for name, tables in CHAINS64.items()]
+    for A in algebras:
+        assert _rows_hold(A) and _laws_hold(A), A.name
+        assert validate(A).valid
+
+
+def test_row_pass_agrees_with_the_laws_on_every_mutation():
+    corpus = [A for n in range(2, 6) for A in enumerate_all(n)]
+    corpus += enumerate_chains(6) + [_moved(A, 7) for A in enumerate_all(4)]
+    checked = 0
+    for A in corpus:
+        for B in _mutants(A):
+            assert _rows_hold(B) == _laws_hold(B), (B.name, B)
+            checked += 1
+    assert checked == 115_617
+
+
+def test_table_errors_name_the_first_bad_entry():
+    class Index:
+        def __index__(self):
+            return 0
+
+        def __repr__(self):
+            return "Index()"
+
+    imp = [[1, 1], [0, 1]]
+    cases = [
+        ([[0, 0], [0]], "mul table row 1 has 1 entries, expected 2"),
+        ([[0, 0, 0], [0]], "mul table row 0 has 3 entries, expected 2"),
+        ([[0, 0.0], [0, 1]], "mul[0][1] = 0.0 is out of range 0..1"),
+        ([[0, 0], [0, 2]], "mul[1][1] = 2 is out of range 0..1"),
+        ([[0, -1], [0, 1]], "mul[0][1] = -1 is out of range 0..1"),
+        ([[0, 0], [Index(), 1]], "mul[1][0] = Index() is out of range 0..1"),
+        ([[0, 0]], "mul table has 1 rows, expected 2"),
+    ]
+    for mul, message in cases:
+        with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+            construct(2, mul, imp)
+    A = construct(2, [[False, False], [False, True]], imp)
+    assert A.mul == ((False, False), (False, True)) and validate(A).valid
 
 
 def test_validate_reports_adjointness_break_with_replayable_witness():

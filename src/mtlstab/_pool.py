@@ -11,14 +11,6 @@ import os
 from multiprocessing import Pool
 
 
-def default_jobs() -> int:
-    value = os.environ.get("MTL_JOBS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def pmap(fn, items, jobs: int = 1) -> list:
     """Map `fn` over `items` on at most one worker per task and per core."""
     items = list(items)

@@ -37,7 +37,6 @@ from .search import (
 )
 from .stabilizers import stabilizer_suite
 from .subsets import from_labels
-from ._pool import default_jobs
 
 
 class _InputError(Exception):
@@ -215,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "machine"),
                        default="human", help="report rendering")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None,
-                           help="worker count (default: MTL_JOBS or 1)")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker count (default: 1)")
 
     p = sub.add_parser("validate", help="check every axiom of an algebra file")
     p.add_argument("file")
@@ -277,11 +276,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if hasattr(args, "jobs"):
-            if args.jobs is None:
-                args.jobs = default_jobs()
-            elif args.jobs < 1:
-                raise _InputError("--jobs must be at least 1")
+        if getattr(args, "jobs", 1) < 1:
+            raise _InputError("--jobs must be at least 1")
         report, code = args.fn(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,23 +1,39 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
-from conftest import antitone_all_pairs_oracle, oracle_corpus, relabel
+from conftest import (CHAINS64, antitone_all_pairs_oracle, chain64,
+                      oracle_corpus, relabel)
 from mtlstab import fixtures as fixtures_module
 from mtlstab import (Subset, from_labels, impl_left, impl_right, impl_stab,
-                     mult_left, mult_right, mult_stab, singleton)
+                     is_filter, mult_left, mult_right, mult_stab, ortho,
+                     singleton, validate)
 from mtlstab.claims import (
+    EXHAUSTIVE_LIMIT,
+    REGISTRY,
     UnknownClaimError,
     _antitone_check,
+    _cond_all_stabs_coann,
+    _cond_right_always_filter,
+    _every_subset,
+    _left_is_filter,
+    _p347,
+    _p438,
+    _p46,
+    _q_subalg,
+    _subset_claim,
     _subset_domain,
+    _t315_mv,
+    _t39_ortho,
     claim_ids,
     documented_divergences,
     outcome_report,
     verify_all,
     verify_claim,
 )
-from mtlstab.search import FAMILIES, enumerate_all, gen_family
+from mtlstab.search import FAMILIES, enumerate_all, gen_family, open2_premise
 
 
 def test_registry_size_and_ids():
@@ -304,3 +320,113 @@ def test_antitone_claims_are_bounded_when_sampled(family, n):
     outcomes = [verify_claim(A, cid) for cid in ("P3.4.2", "P4.3.2")]
     assert time.monotonic() - start < 10.0
     assert [(o.verdict, o.scope) for o in outcomes] == [("holds", pairs)] * 2
+
+
+# -- intersection-closed claims: singletons against the full subset scan ----
+
+# Each claim settled on the n singletons, with the pred that the full scan
+# over every nonempty subset evaluates.
+SINGLETON_CLAIMS = {
+    "P3.4.7": _p347,
+    "P3.4.8": _left_is_filter(impl_left),
+    "T3.9-ortho": _t39_ortho,
+    "T3.15-mv": _t315_mv,
+    "Q-godel-xr-union-subalg": _q_subalg,
+    "P4.3.7": _left_is_filter(mult_left),
+    "P4.3.8": _p438,
+    "P4.6-bl-ideal": _p46,
+}
+
+# Each bundle condition settled on the singletons, with the former
+# condition, two-sided stabilizer included, scanned over every subset.
+SINGLETON_CONDITIONS = (
+    (_cond_right_always_filter, lambda A, X: is_filter(A, impl_right(A, X))),
+    (_cond_all_stabs_coann, lambda A, X: impl_left(A, X) == impl_right(A, X)
+     == impl_stab(A, X) == ortho(A, X)),
+    (open2_premise, lambda A, X: impl_left(A, X) == impl_right(A, X)),
+)
+
+
+def _singleton_routes_agree(A):
+    """Verdict, witness and scope of each claim, and each condition's value,
+    agree with the full scan; the outcomes, for the caller to tally."""
+    assert A.n <= EXHAUSTIVE_LIMIT
+    outcomes = []
+    for claim_id, pred in SINGLETON_CLAIMS.items():
+        outcome = REGISTRY[claim_id].check(A)
+        assert outcome == _subset_claim(pred)(A), (A.name, claim_id)
+        outcomes.append(outcome)
+    for condition, pred in SINGLETON_CONDITIONS:
+        assert condition(A) == _every_subset(pred)(A), A.name
+    return outcomes
+
+
+def _singleton_corpus(source):
+    if source == "families":
+        return [gen_family(f, n) for f in FAMILIES for n in range(2, 13)]
+    return oracle_corpus(source)
+
+
+@pytest.mark.parametrize("source", ["fixtures", "families"]
+                         + [f"all:{n}" for n in range(2, 7)]
+                         + [f"chains:{n}" for n in range(2, 8)])
+def test_singleton_claims_match_full_scan(source):
+    rng = random.Random(source)
+    for A in _singleton_corpus(source):
+        order = list(range(A.n))
+        rng.shuffle(order)
+        for B in (A, relabel(A, order)):
+            _singleton_routes_agree(B)
+
+
+STAB_OPS = {op.__name__: op
+            for op in (impl_left, impl_right, mult_left, mult_right, ortho)}
+
+
+def test_singleton_claims_match_full_scan_on_corrupted_masks():
+    # A corrupted one-point mask leaves every value an intersection of
+    # one-point values, so the singletons must still settle every subset.
+    rng = random.Random(14)
+    algebras = ([fixtures_module.load_fixture(name) for name in ("a4", "g6", "m6")]
+                + [gen_family(f, n) for f in FAMILIES for n in range(2, 6)])
+    for A, op in product(algebras, STAB_OPS.values()):
+        op(A, singleton(A, 0))  # fills the mask cache
+    held = refuted = several = 0
+    for _ in range(1200):
+        A = rng.choice(algebras)
+        cache = A._mask_cache()
+        saved = {name: cache[name] for name in STAB_OPS}
+        for name in STAB_OPS:
+            masks = list(saved[name])
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                masks[rng.randrange(A.n)] ^= 1 << rng.randrange(A.n)
+            cache[name] = tuple(masks)
+        try:
+            outcomes = _singleton_routes_agree(A)
+            for (ok, _, _), pred in zip(outcomes, SINGLETON_CLAIMS.values()):
+                held += ok
+                refuted += not ok
+                # Where two singletons fail, only the ascending order finds
+                # the full scan's witness.
+                several += sum(pred(A, singleton(A, x)) is not None
+                               for x in range(A.n)) > 1
+        finally:
+            cache.update(saved)
+    assert held > 1000 and refuted > 1000 and several > 1000
+
+
+def test_singleton_claims_are_exact_on_large_carriers():
+    # Above 16 elements the full scan samples 4096 subsets; the singletons
+    # settle all 2^n - 1.
+    godel64 = chain64("godel64", *CHAINS64["godel64"])
+    assert validate(godel64).valid
+    algebras = [gen_family("lukasiewicz", 20), gen_family("godel", 26), godel64]
+    start = time.monotonic()
+    for A in algebras:
+        for claim_id in SINGLETON_CLAIMS:
+            assert REGISTRY[claim_id].check(A)[2] == (1 << A.n) - 1
+        mv = A.name.startswith("lukasiewicz")
+        assert [cond(A) for cond, _ in SINGLETON_CONDITIONS] == [mv] * 3
+    assert time.monotonic() - start < 5.0
+    for A, claim_id in product(algebras, SINGLETON_CLAIMS):
+        assert verify_claim(A, claim_id).verdict != "refuted", (A.name, claim_id)

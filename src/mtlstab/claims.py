@@ -458,23 +458,25 @@ def _p438(A, X):
 
 
 def _p439(A, X):
+    xs = X.members()
     for a in impl_right(A, X) & mult_right(A, X):
-        for x in X:
+        for x in xs:
             if not (A.mul[x][A.imp[x][a]] == a and A.mul[a][x] == a):
                 return {"side": "right", "a": A.labels[a], "x": A.labels[x]}
     for a in impl_left(A, X) & mult_left(A, X):
-        for x in X:
+        for x in xs:
             if not (A.mul[a][A.imp[a][x]] == x and A.mul[a][x] == x):
                 return {"side": "left", "a": A.labels[a], "x": A.labels[x]}
     return None
 
 
 def _p4310(A, X):
+    xs = X.members()
     for a in impl_right(A, X) & mult_right(A, X):
-        if not all(A.meet[x][a] == a for x in X):
+        if not all(A.meet[x][a] == a for x in xs):
             return {"side": "right", "a": A.labels[a]}
     for a in impl_left(A, X) & mult_left(A, X):
-        if not all(A.meet[a][x] == x for x in X):
+        if not all(A.meet[a][x] == x for x in xs):
             return {"side": "left", "a": A.labels[a]}
     return None
 

@@ -13,6 +13,12 @@ For a nonempty subset X:
 The universal quantifier is applied verbatim (intersection over the members
 of X).  Empty X is rejected everywhere: empty results are legal, empty
 inputs are not.
+
+The five one-sided operators memoise their values on the algebra, as bit
+patterns keyed by X's bits: the claim registry asks for the same subsets
+once per claim.  A memo holds at most _MEMO_CAP values, ints only (a Subset
+would refer back to its algebra), and starts over when the one-point masks
+it was computed from are replaced.
 """
 
 from __future__ import annotations
@@ -21,25 +27,40 @@ from .core import FiniteMtlAlgebra, _fixed_points, _mask, require_validated
 from .subsets import Subset, require_nonempty
 
 
-def _intersect(A: FiniteMtlAlgebra, X: Subset, masks: tuple[int, ...]) -> Subset:
+_MEMO_CAP = 4096  # values kept per operator; past it they are computed only
+
+
+def _intersect(A: FiniteMtlAlgebra, X: Subset, key: str, build) -> Subset:
+    """The intersection of the one-point masks cached under `key` over X."""
     require_validated(A)
     require_nonempty(X)
     if X.algebra is not A:
         raise ValueError("subset belongs to a different algebra")
-    bits = (1 << A.n) - 1
-    for x in X.members():
-        bits &= masks[x]
+    masks = A._fixed_masks(key, build)
+    cache = A._mask_cache()
+    tied = cache.get(key + "/memo")
+    if tied is None or tied[0] is not masks:
+        tied = cache[key + "/memo"] = (masks, {})
+    memo = tied[1]
+    bits = memo.get(X.bits)
+    if bits is None:
+        bits = (1 << A.n) - 1
+        rest = X.bits
+        while rest:
+            low = rest & -rest
+            bits &= masks[low.bit_length() - 1]
+            rest ^= low
+        if len(memo) < _MEMO_CAP:
+            memo[X.bits] = bits
     return Subset(A, bits)
 
 
 def impl_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("impl_left", lambda: map(_mask, zip(*A.imp), range(A.n)))
-    return _intersect(A, X, masks)
+    return _intersect(A, X, "impl_left", lambda: map(_mask, zip(*A.imp), range(A.n)))
 
 
 def impl_right(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("impl_right", lambda: map(_fixed_points, A.imp))
-    return _intersect(A, X, masks)
+    return _intersect(A, X, "impl_right", lambda: map(_fixed_points, A.imp))
 
 
 def impl_stab(A: FiniteMtlAlgebra, X: Subset) -> Subset:
@@ -47,18 +68,15 @@ def impl_stab(A: FiniteMtlAlgebra, X: Subset) -> Subset:
 
 
 def ortho(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("ortho", lambda: [_mask(c, A.top) for c in zip(*A.join)])
-    return _intersect(A, X, masks)
+    return _intersect(A, X, "ortho", lambda: [_mask(c, A.top) for c in zip(*A.join)])
 
 
 def mult_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("mult_left", lambda: map(_mask, zip(*A.mul), range(A.n)))
-    return _intersect(A, X, masks)
+    return _intersect(A, X, "mult_left", lambda: map(_mask, zip(*A.mul), range(A.n)))
 
 
 def mult_right(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    masks = A._fixed_masks("mult_right", lambda: map(_fixed_points, A.mul))
-    return _intersect(A, X, masks)
+    return _intersect(A, X, "mult_right", lambda: map(_fixed_points, A.mul))
 
 
 def mult_stab(A: FiniteMtlAlgebra, X: Subset) -> Subset:

@@ -2,8 +2,10 @@
 
 Every claim has a stable id and is checked against a concrete algebra by
 quantifier scan: subsets ascending by bit pattern, element tuples in
-lexicographic order, so refutation witnesses are deterministic.  A property
-of stabilizer values that intersections keep is settled on the singletons.  Claims with
+lexicographic order, so refutation witnesses are deterministic.  Each
+stabilizer value is the intersection of its members' one-point values, so a
+claim under which every failing subset has a failing member is settled on
+the n singletons: the least failing one is the full scan's first.  Claims with
 a hypothesis (BL-only, MV-only, idempotent-only) come back `not-applicable`
 when the hypothesis fails, never vacuously `holds`, so corpus statistics
 separate verified from untested.
@@ -16,7 +18,7 @@ definition for proper subsets and is registered as not evaluable.
 Claims read stabilizers, filters and ideals from the library operators.  The
 second, independent route to the same sets lives in `_cross_route`: P3.4.1
 and P4.3.1 evaluate the literal element-by-element definitions there and
-compare them with the bitmask operators on every subset of the domain.
+compare them with the bitmask operators on each one-point set.
 """
 
 from __future__ import annotations
@@ -156,11 +158,6 @@ def _singleton_claim(pred):
     return lambda A: _scan(A, pred, (1 << x for x in range(A.n)), (1 << A.n) - 1)
 
 
-def _every_subset(pred):
-    """Bundle condition: pred(A, X) holds on every subset of the domain."""
-    return lambda A: all(pred(A, Subset(A, bits)) for bits in _subset_domain(A))
-
-
 def _every_singleton(pred):
     """Bundle condition: pred(A, X) holds on every X, as in _singleton_claim."""
     return lambda A: all(pred(A, singleton(A, x)) for x in range(A.n))
@@ -185,7 +182,9 @@ def _cross_route(table_name: str, op_left, op_right):
     compared with op_left and op_right, which intersect cached singleton
     masks.  The witness names the literal set `whole` and the library set
     `intersection`.  The two-sided part is left & right on both routes, so
-    it cannot fail first and is not compared.
+    it cannot fail first and is not compared.  Both routes intersect over
+    X's members, so a failing X has a failing {x}: the pred is settled on
+    the singletons, and `_intersect` itself is tested on every subset.
     """
     def pred(A, X):
         table, xs = getattr(A, table_name), X.members()
@@ -199,7 +198,7 @@ def _cross_route(table_name: str, op_left, op_right):
                 return {"part": name, "whole": whole.render(),
                         "intersection": intersection.render()}
         return None
-    return _subset_claim(pred)
+    return pred
 
 
 def _antitone_check(parts):
@@ -360,8 +359,19 @@ def _p349(A, X):
 
 # -- T3.6 bundle conditions (shared with T3.16) -----------------------------
 
-_cond_left_of_generated = _every_subset(
-    lambda A, X: impl_left(A, X) == impl_left(A, generated_filter(A, X)))
+def _cond_left_of_generated(A) -> bool:
+    """impl_left(generated_filter(X)) == impl_left(X) for every X.
+
+    gen X is the upset of the products of X's members and each value the
+    intersection of one-point values L_x, so this holds exactly when x <= y
+    forces L_x <= L_y and L_x & L_y <= L_{x*y}; X = {x} and X = {x, y} show
+    the converse.
+    """
+    L = [impl_left(A, singleton(A, x)).bits for x in range(A.n)]
+    return all(L[x] & L[y] & ~L[A.mul[x][y]] == 0
+               and (A.meet[x][y] != x or L[x] & ~L[y] == 0)
+               for x, y in product(range(A.n), repeat=2))
+
 
 _cond_right_always_filter = _every_singleton(
     lambda A, X: is_filter(A, impl_right(A, X)))
@@ -568,7 +578,8 @@ def _build_registry() -> dict[str, Claim]:
 
     claims.append(Claim("P3.4.1",
                         "stabilizers of a set are intersections over singletons",
-                        _cross_route("imp", impl_left, impl_right)))
+                        _singleton_claim(
+                            _cross_route("imp", impl_left, impl_right))))
     claims.append(Claim("P3.4.2", "stabilizers are antitone in the subset",
                         _antitone_check((("left", impl_left),
                                          ("right", impl_right)))))
@@ -577,7 +588,7 @@ def _build_registry() -> dict[str, Claim]:
                         _blind_to_generation(impl_right)))
     claims.append(Claim("P3.4.4",
                         "all three stabilizers are everything only for {top}",
-                        _subset_claim(_p344)))
+                        _singleton_claim(_p344)))
     claims.append(Claim("P3.4.5",
                         "stabilizers of the full carrier are {top}", _p345))
     claims.append(Claim("P3.4.6",
@@ -646,7 +657,8 @@ def _build_registry() -> dict[str, Claim]:
 
     claims.append(Claim("P4.3.1",
                         "mul stabilizers of a set are intersections over"
-                        " singletons", _cross_route("mul", mult_left, mult_right)))
+                        " singletons", _singleton_claim(
+                            _cross_route("mul", mult_left, mult_right))))
     claims.append(Claim("P4.3.2", "mul stabilizers are antitone in the subset",
                         _antitone_check((("left", mult_left),
                                          ("right", mult_right)))))
@@ -669,10 +681,10 @@ def _build_registry() -> dict[str, Claim]:
                         _singleton_claim(_p438)))
     claims.append(Claim("P4.3.9",
                         "elements in both right stabilizers satisfy the"
-                        " divisibility-style equations", _subset_claim(_p439)))
+                        " divisibility-style equations", _singleton_claim(_p439)))
     claims.append(Claim("P4.3.10",
                         "on BL algebras the double stabilizers sit inside the"
-                        " principal bounds", _subset_claim(_p4310),
+                        " principal bounds", _singleton_claim(_p4310),
                         applies=is_bl))
     claims.append(Claim("P4.3.11",
                         "membership in a center operator that is undefined"

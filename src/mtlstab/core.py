@@ -76,10 +76,8 @@ class FiniteMtlAlgebra:
     def idempotents(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.n) if self.mul[x][x] == x)
 
-    # Lazily built bitmask caches.  The tables are read-only after validate(),
-    # so the masks never go stale; the stabilizer memos keep growing after
-    # it, but each holds at most a fixed number of ints, never objects that
-    # refer back to the algebra.
+    # Lazily built per-element bitmask caches, ints only.  The tables are
+    # read-only after validate(), so the masks never go stale.
     def _mask_cache(self) -> dict:
         cache = self.__dict__.get("_masks")
         if cache is None:

@@ -14,20 +14,14 @@ The universal quantifier is applied verbatim (intersection over the members
 of X).  Empty X is rejected everywhere: empty results are legal, empty
 inputs are not.
 
-The five one-sided operators memoise their values on the algebra, as bit
-patterns keyed by X's bits: the claim registry asks for the same subsets
-once per claim.  A memo holds at most _MEMO_CAP values, ints only (a Subset
-would refer back to its algebra), and starts over when the one-point masks
-it was computed from are replaced.
+Each one-sided operator ANDs the one-point masks of X's members, built once
+per algebra from the table and cached on it; values are not kept.
 """
 
 from __future__ import annotations
 
 from .core import FiniteMtlAlgebra, _fixed_points, _mask, require_validated
 from .subsets import Subset, require_nonempty
-
-
-_MEMO_CAP = 4096  # values kept per operator; past it they are computed only
 
 
 def _intersect(A: FiniteMtlAlgebra, X: Subset, key: str, build) -> Subset:
@@ -37,21 +31,12 @@ def _intersect(A: FiniteMtlAlgebra, X: Subset, key: str, build) -> Subset:
     if X.algebra is not A:
         raise ValueError("subset belongs to a different algebra")
     masks = A._fixed_masks(key, build)
-    cache = A._mask_cache()
-    tied = cache.get(key + "/memo")
-    if tied is None or tied[0] is not masks:
-        tied = cache[key + "/memo"] = (masks, {})
-    memo = tied[1]
-    bits = memo.get(X.bits)
-    if bits is None:
-        bits = (1 << A.n) - 1
-        rest = X.bits
-        while rest:
-            low = rest & -rest
-            bits &= masks[low.bit_length() - 1]
-            rest ^= low
-        if len(memo) < _MEMO_CAP:
-            memo[X.bits] = bits
+    bits = (1 << A.n) - 1
+    rest = X.bits
+    while rest:
+        low = rest & -rest
+        bits &= masks[low.bit_length() - 1]
+        rest ^= low
     return Subset(A, bits)
 
 

@@ -2,7 +2,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from mtlstab import NotALatticeError, Subset, construct, validate
+from mtlstab import (NotALatticeError, Subset, all_nonempty_subsets, construct,
+                     validate)
 from mtlstab.claims import _subset_domain
 from mtlstab.core import require_validated
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
@@ -134,6 +135,14 @@ def open3_scan_oracle(A):
                     "right-size": str(right.algebra.n),
                 }))
     return findings
+
+
+def every_subset_oracle(pred):
+    """The scan over every nonempty subset, kept as the oracle for the
+    library's bundle conditions that the singletons (or, for
+    `claims._cond_left_of_generated`, the singletons and pairs) settle:
+    pred(A, X) holds on every X."""
+    return lambda A: all(pred(A, X) for X in all_nonempty_subsets(A))
 
 
 def antitone_all_pairs_oracle(parts):

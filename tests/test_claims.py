@@ -5,22 +5,26 @@ from itertools import product
 import pytest
 
 from conftest import (CHAINS64, antitone_all_pairs_oracle, chain64,
-                      oracle_corpus, relabel)
+                      every_subset_oracle, oracle_corpus, relabel)
 from mtlstab import fixtures as fixtures_module
-from mtlstab import (Subset, from_labels, impl_left, impl_right, impl_stab,
-                     is_filter, mult_left, mult_right, mult_stab, ortho,
-                     singleton, validate)
+from mtlstab import (Subset, from_labels, generated_filter, impl_left,
+                     impl_right, impl_stab, is_filter, mult_left, mult_right,
+                     mult_stab, ortho, singleton, validate)
 from mtlstab.claims import (
     EXHAUSTIVE_LIMIT,
     REGISTRY,
     UnknownClaimError,
     _antitone_check,
     _cond_all_stabs_coann,
+    _cond_left_of_generated,
     _cond_right_always_filter,
-    _every_subset,
+    _cross_route,
     _left_is_filter,
+    _p344,
     _p347,
     _p438,
+    _p439,
+    _p4310,
     _p46,
     _q_subalg,
     _subset_claim,
@@ -327,19 +331,27 @@ def test_antitone_claims_are_bounded_when_sampled(family, n):
 # Each claim settled on the n singletons, with the pred that the full scan
 # over every nonempty subset evaluates.
 SINGLETON_CLAIMS = {
+    "P3.4.1": _cross_route("imp", impl_left, impl_right),
+    "P3.4.4": _p344,
     "P3.4.7": _p347,
     "P3.4.8": _left_is_filter(impl_left),
     "T3.9-ortho": _t39_ortho,
     "T3.15-mv": _t315_mv,
     "Q-godel-xr-union-subalg": _q_subalg,
+    "P4.3.1": _cross_route("mul", mult_left, mult_right),
     "P4.3.7": _left_is_filter(mult_left),
     "P4.3.8": _p438,
+    "P4.3.9": _p439,
+    "P4.3.10": _p4310,
     "P4.6-bl-ideal": _p46,
 }
 
-# Each bundle condition settled on the singletons, with the former
-# condition, two-sided stabilizer included, scanned over every subset.
+# Each bundle condition settled on the singletons (left-of-generated on the
+# singletons and pairs), with the former condition, two-sided stabilizer
+# included, scanned over every subset.
 SINGLETON_CONDITIONS = (
+    (_cond_left_of_generated,
+     lambda A, X: impl_left(A, X) == impl_left(A, generated_filter(A, X))),
     (_cond_right_always_filter, lambda A, X: is_filter(A, impl_right(A, X))),
     (_cond_all_stabs_coann, lambda A, X: impl_left(A, X) == impl_right(A, X)
      == impl_stab(A, X) == ortho(A, X)),
@@ -357,7 +369,7 @@ def _singleton_routes_agree(A):
         assert outcome == _subset_claim(pred)(A), (A.name, claim_id)
         outcomes.append(outcome)
     for condition, pred in SINGLETON_CONDITIONS:
-        assert condition(A) == _every_subset(pred)(A), A.name
+        assert condition(A) == every_subset_oracle(pred)(A), A.name
     return outcomes
 
 
@@ -426,7 +438,7 @@ def test_singleton_claims_are_exact_on_large_carriers():
         for claim_id in SINGLETON_CLAIMS:
             assert REGISTRY[claim_id].check(A)[2] == (1 << A.n) - 1
         mv = A.name.startswith("lukasiewicz")
-        assert [cond(A) for cond, _ in SINGLETON_CONDITIONS] == [mv] * 3
+        assert [cond(A) for cond, _ in SINGLETON_CONDITIONS] == [mv] * 4
     assert time.monotonic() - start < 5.0
     for A, claim_id in product(algebras, SINGLETON_CLAIMS):
         assert verify_claim(A, claim_id).verdict != "refuted", (A.name, claim_id)

@@ -26,7 +26,6 @@ from mtlstab import (
 )
 from mtlstab.fixtures import load_fixture
 from mtlstab.search import FAMILIES, gen_family
-from mtlstab.stabilizers import _MEMO_CAP
 
 ALL_OPS = (impl_left, impl_right, impl_stab, ortho,
            mult_left, mult_right, mult_stab)
@@ -206,38 +205,33 @@ def test_mult_left_members_dominate(small_corpus):
                     assert A.meet[x][a] == x
 
 
-MEMO_OPS = (impl_left, impl_right, ortho, mult_left, mult_right)
+ONE_SIDED_OPS = (impl_left, impl_right, ortho, mult_left, mult_right)
 
 
-def test_memoised_values_match_literal_definitions(small_corpus):
+def test_operator_values_match_literal_definitions(small_corpus):
     # Every subset ascending on a cold algebra, then descending on the warm
-    # one.  At n = 13 the memo fills at the cap, so the later ascending and
-    # the first descending values are computed past it; on the Gödel chain
-    # those values are not all alike.
+    # one.  The claims that read operator values on the singletons only
+    # rest on this test for the value of every other subset.
     algebras = ([replace(A) for A in small_corpus.values()]
                 + [gen_family(f, 9) for f in FAMILIES]
                 + [gen_family(f, 13) for f in ("lukasiewicz", "godel")])
     for A in algebras:
         subsets = list(all_nonempty_subsets(A))
-        literal = [[oracle(A, X, op.__name__) for op in MEMO_OPS]
+        literal = [[oracle(A, X, op.__name__) for op in ONE_SIDED_OPS]
                    for X in subsets]
         for order in (range(len(subsets)), range(len(subsets) - 1, -1, -1)):
             for i in order:
                 X = subsets[i]
-                got = [frozenset(op(A, X).members()) for op in MEMO_OPS]
+                got = [frozenset(op(A, X).members()) for op in ONE_SIDED_OPS]
                 assert got == literal[i], (A.name, X.render())
-        sizes = [len(A._mask_cache()[op.__name__ + "/memo"][1])
-                 for op in MEMO_OPS]
-        assert sizes == [min(len(subsets), _MEMO_CAP)] * len(MEMO_OPS), A.name
-    assert len(subsets) > _MEMO_CAP
 
 
-def test_preconditions_run_before_the_memo():
+def test_preconditions_run_on_a_warm_algebra():
     a4, b4 = load_fixture("a4"), load_fixture("b4")
     for op in ALL_OPS:
         for X in all_nonempty_subsets(a4):
             op(a4, X)
-    # b4's {1} has the bits of a4's {1}, whose value a4's memo holds.
+    # b4's {1} has the bits of a4's {1}, whose value a4 has computed.
     with pytest.raises(ValueError):
         impl_left(a4, singleton(b4, 1))
     for op in ALL_OPS:
@@ -245,9 +239,9 @@ def test_preconditions_run_before_the_memo():
             op(a4, empty(a4))
 
 
-def test_memo_makes_no_reference_cycle():
+def test_mask_cache_makes_no_reference_cycle():
     # With the cyclic collector off, the algebra must die by reference
-    # counting alone: a memo that kept Subset values would hold it alive.
+    # counting alone: a cache that kept Subset values would hold it alive.
     gc.disable()
     try:
         A = load_fixture("a4")

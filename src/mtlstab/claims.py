@@ -2,13 +2,13 @@
 
 Every claim has a stable id and is checked against a concrete algebra by
 quantifier scan: subsets ascending by bit pattern, element tuples in
-lexicographic order, so refutation witnesses are deterministic.  Each
-stabilizer value is the intersection of its members' one-point values, so a
-claim under which every failing subset has a failing member is settled on
-the n singletons: the least failing one is the full scan's first.  Claims with
-a hypothesis (BL-only, MV-only, idempotent-only) come back `not-applicable`
-when the hypothesis fails, never vacuously `holds`, so corpus statistics
-separate verified from untested.
+lexicographic order, so refutation witnesses are deterministic.  A claim on
+all 2^n - 1 subsets scans a small domain that holds a failing X whenever
+any subset fails, as each domain's docstring proves, mostly from each
+stabilizer value being the intersection of its members' one-point values.
+Claims with a hypothesis (BL-only, MV-only, idempotent-only) come back
+`not-applicable` when the hypothesis fails, never vacuously `holds`, so
+corpus statistics separate verified from untested.
 
 Three registry entries (Q-godel-xr-union-subalg, P4.3.5, P4.3.6) are
 expected to be refutable on ordinary algebras and carry metadata saying so;
@@ -23,7 +23,6 @@ compare them with the bitmask operators on each one-point set.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
@@ -75,11 +74,6 @@ from .stabilizers import (
 from .subsets import Subset, from_elements, from_labels, full, singleton
 from ._pool import pmap
 
-SAMPLE_SEED = 0x4D544C  # carrier sampling beyond exhaustive range, fixed
-SAMPLE_COUNT = 4096
-EXHAUSTIVE_LIMIT = 16
-
-
 class UnknownClaimError(KeyError):
     pass
 
@@ -101,21 +95,6 @@ class Claim:
     applies: Callable[[FiniteMtlAlgebra], bool] | None = None
     expected: str = "holds"           # holds | refutable | not-evaluable
     documented: Callable[[FiniteMtlAlgebra], dict | None] | None = None
-
-
-def _subset_domain(A) -> list[int]:
-    """Nonempty subset bit patterns: exhaustive for small carriers, a fixed
-    deterministic sample for large ones."""
-    n = A.n
-    if n <= EXHAUSTIVE_LIMIT:
-        return list(range(1, 1 << n))
-    rng = random.Random(SAMPLE_SEED ^ n)
-    seen = set()
-    while len(seen) < SAMPLE_COUNT:
-        bits = rng.getrandbits(n)
-        if bits:
-            seen.add(bits)
-    return sorted(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +123,38 @@ def _scan(A, pred, domain, scope):
     return True, None, scope
 
 
-def _subset_claim(pred):
-    """pred(A, X) -> witness dict or None, scanned over the subset domain."""
-    def check(A):
-        domain = _subset_domain(A)
-        return _scan(A, pred, domain, len(domain))
-    return check
+def _claim_on(domain, pred):
+    """pred(A, X) -> witness dict or None on all 2^n - 1 nonempty subsets,
+    scanned over domain(A): ascending bits that hold a failing X whenever
+    any subset fails."""
+    return lambda A: _scan(A, pred, domain(A), (1 << A.n) - 1)
 
 
-def _singleton_claim(pred):
-    """pred on all 2^n - 1 subsets, for a pred under which X fails only if
-    some member's {x} fails: the least failing {x} is the full scan's first."""
-    return lambda A: _scan(A, pred, (1 << x for x in range(A.n)), (1 << A.n) - 1)
+def _holds_on(domain, pred):
+    """Bundle condition: pred gives no witness on any X, as in _claim_on."""
+    return lambda A: _claim_on(domain, pred)(A)[0]
 
 
-def _every_singleton(pred):
-    """Bundle condition: pred(A, X) holds on every X, as in _singleton_claim."""
-    return lambda A: all(pred(A, singleton(A, x)) for x in range(A.n))
+def _singletons(A) -> list[int]:
+    """For a pred that holds on X when it holds on each member's {x}: each
+    value ANDs the members' one-point values, and what these preds test
+    (closure, filters, ideals, two routes agreeing, P4.3.9's equations at
+    each (a, x)) survives intersection.  The least failing {x} is then the
+    full scan's first failing X."""
+    return [1 << x for x in range(A.n)]
+
+
+def _singletons_and_pairs(A) -> list[int]:
+    """Sets of one or two members, for op(gen X) = op(X): gen X is the
+    upset of the products of X's members and op(X) the AND of the op_x.  If
+    each {x} holds, y >= x forces op_x <= op_y (y is in gen {x}); if each
+    {x, y} holds too, op_x & op_y <= op_{x*y}.  So op(X) <= op(gen X): a
+    failing X has a failing subset here, so the least one here is the full
+    scan's first failing X."""
+    return [1 << y | b for y in range(A.n) for b in (0, *(1 << x for x in range(y)))]
+
+
+_singleton_claim = partial(_claim_on, _singletons)
 
 
 def _bundle_claim(parts):
@@ -202,39 +196,22 @@ def _cross_route(table_name: str, op_left, op_right):
 
 
 def _antitone_check(parts):
-    """X a proper subset of Y forces op(Y) <= op(X), for every part, checked
-    on the covering pairs (Y minus y, Y), y ascending, over each domain
-    subset Y.  Operator bits are computed once per domain subset.
+    """X a proper subset of Y forces op(Y) <= op(X), for every part.  Each
+    value ANDs one-point masks, so only `_intersect` could break this, and
+    tests pin it on every subset of their corpus.  So the covering pairs
+    ({x}, {x, y}) are checked, the larger singleton first, and the scope
+    counts all 3^n - 2^(n+1) + 1 pairs; the two-sided part cannot fail
+    first."""
+    def pred(A, Y):
+        for y in Y.members() if len(Y) == 2 else ():
+            X = Subset(A, Y.bits ^ 1 << y)
+            for name, op in parts:
+                if not op(A, Y).issubset(op(A, X)):
+                    return {"part": name, "X": X.render(), "Y": Y.render()}
+        return None
 
-    On an exhaustive domain Y's subsets come first, so by transitivity the
-    first failure is at the least failing y, Y's j-th member from 0: the
-    2^j-th pair of the scan over all of Y's proper subsets in descending bit
-    order, whose pair count the scope keeps.  Sampled, it counts covering
-    pairs.  The two-sided stabilizer is left & right and cannot fail first.
-    """
-    def check(A):
-        def op_bits(bits):
-            X = Subset(A, bits)
-            return tuple(op(A, X).bits for _, op in parts)
-
-        exhaustive = A.n <= EXHAUSTIVE_LIMIT
-        known = {}
-        count = 0
-        for ybits in _subset_domain(A):
-            ys = known[ybits] = op_bits(ybits)
-            members = Subset(A, ybits).members()
-            covered = [ybits ^ 1 << y for y in members] if len(members) > 1 else []
-            for j, sub in enumerate(covered):
-                xs = known[sub] if sub in known else op_bits(sub)
-                for (name, _), y, x in zip(parts, ys, xs):
-                    if y & ~x:
-                        return False, {
-                            "part": name, "X": Subset(A, sub).render(),
-                            "Y": Subset(A, ybits).render(),
-                        }, count + (1 << j if exhaustive else j + 1)
-            count += (1 << len(members)) - 2 if exhaustive else len(covered)
-        return True, None, count
-    return check
+    scan = _claim_on(_singletons_and_pairs, pred)
+    return lambda A: (*scan(A)[:2], 3 ** A.n - 2 ** (A.n + 1) + 1)
 
 
 def _blind_to_generation(op):
@@ -247,7 +224,7 @@ def _blind_to_generation(op):
                     "right-of-generated": of_gen.render(),
                     "right-of-X": of_x.render()}
         return None
-    return _subset_claim(pred)
+    return pred
 
 
 def _left_is_filter(op):
@@ -357,26 +334,23 @@ def _p349(A, X):
     return None
 
 
+def _p349_domain(A) -> list[int]:
+    """The singletons and S_a = {x : a in R_x} for a != top, R_x the
+    impl_right of {x}.  A failing X lacks top in some R_x, x in X, and {x}
+    fails; or a != top lies in gen X and R(X), so X <= S_a and gen X <=
+    gen S_a, and S_a fails.  This holds under any masks."""
+    R = [impl_right(A, singleton(A, x)).bits for x in range(A.n)]
+    sets = {sum(1 << x for x in range(A.n) if R[x] >> a & 1)
+            for a in range(A.n) if a != A.top}
+    return sorted((sets | set(_singletons(A))) - {0})
+
+
 # -- T3.6 bundle conditions (shared with T3.16) -----------------------------
 
-def _cond_left_of_generated(A) -> bool:
-    """impl_left(generated_filter(X)) == impl_left(X) for every X.
-
-    gen X is the upset of the products of X's members and each value the
-    intersection of one-point values L_x, so this holds exactly when x <= y
-    forces L_x <= L_y and L_x & L_y <= L_{x*y}; X = {x} and X = {x, y} show
-    the converse.
-    """
-    L = [impl_left(A, singleton(A, x)).bits for x in range(A.n)]
-    return all(L[x] & L[y] & ~L[A.mul[x][y]] == 0
-               and (A.meet[x][y] != x or L[x] & ~L[y] == 0)
-               for x, y in product(range(A.n), repeat=2))
-
-
-_cond_right_always_filter = _every_singleton(
-    lambda A, X: is_filter(A, impl_right(A, X)))
-
-_cond_all_stabs_coann = _every_singleton(lambda A, X: _t315_mv(A, X) is None)
+_cond_left_of_generated = _holds_on(_singletons_and_pairs,
+                                    _blind_to_generation(impl_left))
+_cond_right_always_filter = _holds_on(_singletons, _left_is_filter(impl_right))
+_cond_all_stabs_coann = _holds_on(_singletons, lambda A, X: _t315_mv(A, X))
 
 
 def _cond_exchange_fixpoints(A) -> bool:
@@ -444,6 +418,18 @@ def _p434(A, X):
     return None
 
 
+def _p434_domain(A) -> list[int]:
+    """{bot} and K' = {x : mult_left({x}) full, bot in mult_right({x})}.
+    Both values AND over X's members, so an X != {bot} with the shape lies
+    in K' != {bot}, and K' has it too: mult_right shrinks as X grows and
+    keeps bot.  On a valid table K' = {bot}."""
+    everything = full(A)
+    k = sum(1 << x for x in range(A.n)
+            if mult_left(A, singleton(A, x)) == everything
+            and A.bot in mult_right(A, singleton(A, x)))
+    return sorted({1 << A.bot, k} - {0})
+
+
 def _p435(A):
     X = singleton(A, A.top)
     right, left, stab = mult_right(A, X), mult_left(A, X), mult_stab(A, X)
@@ -457,6 +443,13 @@ def _p435(A):
 def _p436(A, X):
     stab = mult_stab(A, X)
     return None if stab == X else {"stab": stab.render()}
+
+
+def _p436_domain(A) -> range:
+    """Bits 1 to 3: if {x0} and {x1} hold, stab({x0, x1}) is their
+    intersection {x0} & {x1}, which is empty, so {x0, x1} fails.  The full
+    ascending scan stops by bits 3, whatever the masks."""
+    return range(1, min(4, 1 << A.n))
 
 
 def _p438(A, X):
@@ -585,7 +578,8 @@ def _build_registry() -> dict[str, Claim]:
                                          ("right", impl_right)))))
     claims.append(Claim("P3.4.3",
                         "right stabilizer is blind to filter generation",
-                        _blind_to_generation(impl_right)))
+                        _claim_on(_singletons_and_pairs,
+                                  _blind_to_generation(impl_right))))
     claims.append(Claim("P3.4.4",
                         "all three stabilizers are everything only for {top}",
                         _singleton_claim(_p344)))
@@ -601,7 +595,7 @@ def _build_registry() -> dict[str, Claim]:
                         _singleton_claim(_left_is_filter(impl_left))))
     claims.append(Claim("P3.4.9",
                         "generated filter meets right stabilizer in {top}",
-                        _subset_claim(_p349)))
+                        _claim_on(_p349_domain, _p349)))
 
     claims.append(Claim("T3.6", "five conditions stand or fall together",
                         _bundle_claim((
@@ -664,15 +658,16 @@ def _build_registry() -> dict[str, Claim]:
                                          ("right", mult_right)))))
     claims.append(Claim("P4.3.3",
                         "right mul stabilizer is blind to filter generation",
-                        _blind_to_generation(mult_right)))
+                        _claim_on(_singletons_and_pairs,
+                                  _blind_to_generation(mult_right))))
     claims.append(Claim("P4.3.4",
                         "the {bot} shape (left everything, right {bot})"
-                        " characterizes {bot}", _subset_claim(_p434)))
+                        " characterizes {bot}", _claim_on(_p434_domain, _p434)))
     claims.append(Claim("P4.3.5",
                         "all three mul stabilizers of {top} are {top}",
                         _p435, expected="refutable"))
     claims.append(Claim("P4.3.6", "the two-sided mul stabilizer returns X",
-                        _subset_claim(_p436), expected="refutable",
+                        _claim_on(_p436_domain, _p436), expected="refutable",
                         documented=_documented_at(("a", "b"), _p436)))
     claims.append(Claim("P4.3.7", "left mul stabilizers are filters",
                         _singleton_claim(_left_is_filter(mult_left))))

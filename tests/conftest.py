@@ -4,7 +4,7 @@ import pytest
 
 from mtlstab import (NotALatticeError, Subset, all_nonempty_subsets, construct,
                      validate)
-from mtlstab.claims import _subset_domain
+from mtlstab.claims import _scan
 from mtlstab.core import require_validated
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
 from mtlstab.induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
@@ -137,20 +137,28 @@ def open3_scan_oracle(A):
     return findings
 
 
+def full_scan_oracle(pred):
+    """The scan over every nonempty subset in ascending bit order, scope
+    2^n - 1, kept as the oracle for the library's claims that scan a smaller
+    domain through `claims._claim_on`: the same verdict, witness and scope."""
+    return lambda A: _scan(A, pred, range(1, 1 << A.n), (1 << A.n) - 1)
+
+
 def every_subset_oracle(pred):
     """The scan over every nonempty subset, kept as the oracle for the
-    library's bundle conditions that the singletons (or, for
-    `claims._cond_left_of_generated`, the singletons and pairs) settle:
-    pred(A, X) holds on every X."""
+    library's bundle conditions that `claims._holds_on` settles on a smaller
+    domain (the singletons, or the singletons and pairs): pred(A, X) holds
+    on every X, for a pred that returns a bool."""
     return lambda A: all(pred(A, X) for X in all_nonempty_subsets(A))
 
 
 def antitone_all_pairs_oracle(parts):
     """The all-pairs scan for n <= 12, kept as the oracle for the library's
     covering-pair `claims._antitone_check`: X a proper subset of Y forces
-    op(Y) <= op(X), for every part, over each domain subset Y and its
-    nonempty proper subsets X in descending bit order.  Operator bits are
-    computed once per subset."""
+    op(Y) <= op(X), for every part, over each nonempty subset Y ascending
+    and its nonempty proper subsets X in descending bit order; the scope
+    counts the pairs scanned.  Operator bits are computed once per
+    subset."""
     def check(A):
         assert A.n <= 12
 
@@ -158,15 +166,13 @@ def antitone_all_pairs_oracle(parts):
             X = Subset(A, bits)
             return tuple(op(A, X).bits for _, op in parts)
 
-        domain = _subset_domain(A)
-        known = {bits: op_bits(bits) for bits in domain}
+        known = {bits: op_bits(bits) for bits in range(1, 1 << A.n)}
         count = 0
-        for ybits in domain:
-            ys = known[ybits]
+        for ybits, ys in known.items():
             sub = (ybits - 1) & ybits
             while sub:
                 count += 1
-                xs = known[sub] if sub in known else op_bits(sub)
+                xs = known[sub]
                 for (name, _), y, x in zip(parts, ys, xs):
                     if y & ~x:
                         return False, {

@@ -320,6 +320,18 @@ def test_antitone_scope_counts_every_pair(n):
             ("holds", 3 ** n - 2 ** (n + 1) + 1)
 
 
+@pytest.mark.parametrize("family,n", [("lukasiewicz", 20), ("godel", 26)])
+def test_antitone_claims_are_bounded_when_sampled(family, n):
+    # No subset is sampled any more: past the full scan's reach the scope
+    # is still the closed-form count of every pair, within the time bound.
+    A = gen_family(family, n)
+    start = time.monotonic()
+    outcomes = [verify_claim(A, cid) for cid in ("P3.4.2", "P4.3.2")]
+    assert time.monotonic() - start < 10.0
+    assert [(o.verdict, o.scope) for o in outcomes] == \
+        [("holds", 3 ** n - 2 ** (n + 1) + 1)] * 2
+
+
 # -- subset claims on small domains against the full subset scan ----------
 
 # Each claim that `_claim_on` scans over a small domain, with the pred that

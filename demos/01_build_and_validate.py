@@ -4,7 +4,8 @@
 Run:  python3 demos/01_build_and_validate.py
 """
 
-from mtlstab import check_basic_identities, construct, emit_report, validate
+from mtlstab import construct, emit_report, validate
+from mtlstab.claims import outcome_report, verify_claim
 from mtlstab.fixtures import load_fixture, load_fixture_raw
 
 print("=" * 72)
@@ -22,8 +23,9 @@ report = validate(a4)
 print(f"\nvalidate -> valid={report.valid} "
       f"({len(report.violations)} violations)")
 
-print("\nEvery always-true identity, checked over all tuples:")
-print(emit_report(check_basic_identities(a4)))
+print("\nEvery always-true identity (Prop. 2.2), checked over all tuples:")
+print(emit_report(outcome_report(verify_claim(a4, f"P2.2.{i}")
+                                 for i in range(1, 13))))
 
 print("=" * 72)
 print("Corrupting one product entry and validating again")

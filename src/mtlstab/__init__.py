@@ -23,7 +23,6 @@ from .core import (
     leq,
     neg,
     power,
-    check_basic_identities,
 )
 from .subsets import (
     Subset,

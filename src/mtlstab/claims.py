@@ -28,8 +28,7 @@ from functools import cache, partial
 from itertools import product
 from typing import Callable
 
-from .core import (FiniteMtlAlgebra, InternalConsistencyError, _BASIC_IDENTITIES,
-                   require_validated)
+from .core import FiniteMtlAlgebra, InternalConsistencyError, require_validated
 from .classify import (
     _godel_chain_left,
     _godel_chain_right,
@@ -52,7 +51,6 @@ from .induced import (
     right_mult_algebra,
 )
 from .order import (
-    _center_identity,
     _first_escape,
     all_filters,
     generated_filter,
@@ -272,26 +270,35 @@ def _subalgebra_witness(A, S: Subset):
 
 # -- basic identities -------------------------------------------------------
 
-_IDENTITY_CLAIMS = {
-    **{f"P2.2.{item}": spec for item, spec in _BASIC_IDENTITIES.items()},
-    # Cited in the surrounding development but absent from the list of ten.
-    "P2.2.11": (1, lambda A, x: A.mul[x][A.imp[x][A.bot]] == A.bot),
-    "P2.2.12": (2, lambda A, x, y: A.meet[x][A.imp[A.imp[x][y]][y]] == x),
-}
-
-_BASIC_STATEMENTS = {
-    "P2.2.1": "x <= y exactly when imp(x, y) is top",
-    "P2.2.2": "mul(x, y) lies below meet(x, y)",
-    "P2.2.3": "imp distributes over meet on the right",
-    "P2.2.4": "imp turns join on the left into meet",
-    "P2.2.5": "imp(x, y) equals imp(x, meet(x, y))",
-    "P2.2.6": "imp(x, y) equals imp(join(x, y), y)",
-    "P2.2.7": "imp turns meet on the left into join",
-    "P2.2.8": "join is recovered from double residuation",
-    "P2.2.9": "x lies below imp(y, x)",
-    "P2.2.10": "triple negation collapses to single negation",
-    "P2.2.11": "an element times its negation is bot",
-    "P2.2.12": "x lies below imp(imp(x, y), y)",
+# Prop. 2.2 as (statement, arity, law on A and an element tuple).  Items 1-10
+# are the MTL laws of Esteva and Godo; 11 and 12 are cited in the surrounding
+# development but absent from that list of ten.
+_IDENTITIES = {
+    "P2.2.1": ("x <= y exactly when imp(x, y) is top", 2, lambda A, x, y:
+               (A.meet[x][y] == x) == (A.imp[x][y] == A.top)),
+    "P2.2.2": ("mul(x, y) lies below meet(x, y)", 2, lambda A, x, y:
+               A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y]),
+    "P2.2.3": ("imp distributes over meet on the right", 3, lambda A, x, y, z:
+               A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]]),
+    "P2.2.4": ("imp turns join on the left into meet", 3, lambda A, x, y, z:
+               A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]]),
+    "P2.2.5": ("imp(x, y) equals imp(x, meet(x, y))", 2, lambda A, x, y:
+               A.imp[x][y] == A.imp[x][A.meet[x][y]]),
+    "P2.2.6": ("imp(x, y) equals imp(join(x, y), y)", 2, lambda A, x, y:
+               A.imp[x][y] == A.imp[A.join[x][y]][y]),
+    "P2.2.7": ("imp turns meet on the left into join", 3, lambda A, x, y, z:
+               A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]]),
+    "P2.2.8": ("join is recovered from double residuation", 2, lambda A, x, y:
+               A.join[x][y]
+               == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]),
+    "P2.2.9": ("x lies below imp(y, x)", 2, lambda A, x, y:
+               A.meet[x][A.imp[y][x]] == x),
+    "P2.2.10": ("triple negation collapses to single negation", 1, lambda A, x:
+                A.imp[x][A.bot] == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot]),
+    "P2.2.11": ("an element times its negation is bot", 1, lambda A, x:
+                A.mul[x][A.imp[x][A.bot]] == A.bot),
+    "P2.2.12": ("x lies below imp(imp(x, y), y)", 2, lambda A, x, y:
+                A.meet[x][A.imp[A.imp[x][y]][y]] == x),
 }
 
 
@@ -549,8 +556,8 @@ def _not_evaluable(A):
 def _build_registry() -> dict[str, Claim]:
     claims: list[Claim] = []
 
-    for cid, (arity, pred) in _IDENTITY_CLAIMS.items():
-        claims.append(Claim(cid, _BASIC_STATEMENTS[cid], _tuple_claim(arity, pred)))
+    for cid, (statement, arity, law) in _IDENTITIES.items():
+        claims.append(Claim(cid, statement, _tuple_claim(arity, law)))
 
     def p241(A):
         # A.idempotents() selects on mul(e, e) == e: nothing is left to fail.
@@ -560,7 +567,8 @@ def _build_registry() -> dict[str, Claim]:
         count = 0
         for e, x, y in product(A.idempotents(), range(A.n), range(A.n)):
             count += 1
-            if not _center_identity(A, e, x, y):
+            e_times = A.mul[e]  # e * (x -> y) == e * ((e * x) -> (e * y))
+            if e_times[A.imp[x][y]] != e_times[A.imp[e_times[x]][e_times[y]]]:
                 return False, {"e": A.labels[e], "x": A.labels[x],
                                "y": A.labels[y]}, count
         return True, None, count

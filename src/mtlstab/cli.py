@@ -45,8 +45,8 @@ class _InputError(Exception):
 
 def _load_algebra(path: str) -> FiniteMtlAlgebra:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
         return algfile.parse_algebra_file(text)
@@ -121,7 +121,11 @@ def _cmd_verify(args) -> tuple[Report, int]:
 
 def _write_corpus(path: str, algebras, canon_hex: list[str]) -> None:
     headers = dict(enumerate(canon_hex))
-    Path(path).write_text(algfile.serialize_corpus(algebras, headers))
+    try:
+        Path(path).write_text(algfile.serialize_corpus(algebras, headers),
+                              encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_enumerate(args) -> tuple[Report, int]:

@@ -19,6 +19,7 @@ from itertools import chain, product
 from operator import getitem
 
 MAX_CARRIER = 64  # subsets of the carrier must fit in one machine word
+EMPTY_SET_SYMBOL = "∅"  # how a report renders the empty subset
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -162,6 +163,9 @@ def construct(
         labels = tuple(labels)
         if len(labels) != n or len(set(labels)) != n:
             raise AlgebraError("labels must be n distinct tokens")
+        for label in labels:  # reports join labels with ',' and show {} as ∅
+            if "," in label or label == EMPTY_SET_SYMBOL:
+                raise AlgebraError(f"label {label!r} contains ',' or is ∅")
 
     mul = _check_table("mul", mul, n)
     imp = _check_table("imp", imp, n)
@@ -372,47 +376,3 @@ def power(A: FiniteMtlAlgebra, x: int, k: int) -> int:
         acc = A.mul[acc][x]
     return acc
 
-
-# The ten basic identities that hold in every MTL-algebra, by item number,
-# as (arity, predicate on A and an element tuple).  The claim registry reads
-# them as P2.2.1-P2.2.10 and adds items 11 and 12 there: two identities that
-# the surrounding development relies on but that are not in the list of ten.
-_BASIC_IDENTITIES = {
-    "1": (2, lambda A, x, y: (A.meet[x][y] == x) == (A.imp[x][y] == A.top)),
-    "2": (2, lambda A, x, y: A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y]),
-    "3": (3, lambda A, x, y, z:
-          A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]]),
-    "4": (3, lambda A, x, y, z:
-          A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]]),
-    "5": (2, lambda A, x, y: A.imp[x][y] == A.imp[x][A.meet[x][y]]),
-    "6": (2, lambda A, x, y: A.imp[x][y] == A.imp[A.join[x][y]][y]),
-    "7": (3, lambda A, x, y, z:
-          A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]]),
-    "8": (2, lambda A, x, y: A.join[x][y]
-          == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]),
-    "9": (2, lambda A, x, y: A.meet[x][A.imp[y][x]] == x),
-    "10": (1, lambda A, x: A.imp[x][A.bot]
-           == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot]),
-}
-
-
-def check_basic_identities(A: FiniteMtlAlgebra):
-    """Evaluate the ten always-true identities; per-item verdicts.
-
-    Returns a Report whose records carry one verdict per item.  All ten hold
-    on every validated algebra; a failure indicates table corruption and is
-    counted as a report failure.
-    """
-    from .report import Report
-
-    require_validated(A)
-    report = Report()
-    for item, (arity, pred) in _BASIC_IDENTITIES.items():
-        witness = next((tup for tup in product(range(A.n), repeat=arity)
-                        if not pred(A, *tup)), None)
-        if witness is None:
-            report.add("identity", item, "holds")
-        else:
-            rendered = ",".join(A.labels[w] for w in witness)
-            report.add_failure("identity", item, f"fails at ({rendered})")
-    return report

@@ -448,8 +448,7 @@ def open3_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
         right = right_mult_algebra(A, x)
         if not (left.ok and right.ok):
             continue  # a failed construction is a T4.7/T4.8 refutation instead
-        if left.algebra.n != right.algebra.n \
-                or check_mtl_iso(left.algebra, right.algebra) is None:
+        if check_mtl_iso(left.algebra, right.algebra) is None:
             findings.append(SearchFinding(
                 "open3", A, {
                     "x": A.labels[x],

@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .core import FiniteMtlAlgebra, require_validated
-
-EMPTY_SET_SYMBOL = "∅"
+from .core import EMPTY_SET_SYMBOL, FiniteMtlAlgebra, require_validated
 
 
 class SubsetError(ValueError):

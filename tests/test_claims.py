@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from itertools import product
@@ -233,6 +234,66 @@ def test_cross_route_catches_corrupted_singleton_mask(claim_id, op, part):
     assert outcome.witness == {"part": part, "whole": literal.render(),
                                "intersection": corrupted.render(),
                                "X": zero.render()}
+
+
+# The basic identities and the center identity, restated for the test over
+# the raw tables: (claim id, witness names, law on A and an element tuple).
+# P2.4.2 ranges e over the idempotents only.
+def _neg(A, x):
+    return A.imp[x][A.bot]
+
+
+IDENTITY_LAWS = [
+    ("P2.2.1", "xy", lambda A, x, y: (A.meet[x][y] == x) == (A.imp[x][y] == A.top)),
+    ("P2.2.2", "xy", lambda A, x, y: A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y]),
+    ("P2.2.3", "xyz", lambda A, x, y, z:
+     A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]]),
+    ("P2.2.4", "xyz", lambda A, x, y, z:
+     A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]]),
+    ("P2.2.5", "xy", lambda A, x, y: A.imp[x][y] == A.imp[x][A.meet[x][y]]),
+    ("P2.2.6", "xy", lambda A, x, y: A.imp[x][y] == A.imp[A.join[x][y]][y]),
+    ("P2.2.7", "xyz", lambda A, x, y, z:
+     A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]]),
+    ("P2.2.8", "xy", lambda A, x, y:
+     A.join[x][y] == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]),
+    ("P2.2.9", "xy", lambda A, x, y: A.meet[x][A.imp[y][x]] == x),
+    ("P2.2.10", "x", lambda A, x: _neg(A, x) == _neg(A, _neg(A, _neg(A, x)))),
+    ("P2.2.11", "x", lambda A, x: A.mul[x][_neg(A, x)] == A.bot),
+    ("P2.2.12", "xy", lambda A, x, y: A.meet[x][A.imp[A.imp[x][y]][y]] == x),
+    ("P2.4.2", "exy", lambda A, e, x, y: A.mul[e][e] != e
+     or A.mul[e][A.imp[x][y]] == A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]]),
+]
+
+
+def _first_failure(A, names, law):
+    return next((t for t in product(range(A.n), repeat=len(names))
+                 if not law(A, *t)), None)
+
+
+def _one_entry_corruptions(A):
+    """Copies of A, still flagged validated, with one mul or imp entry
+    changed, in (table, row, column, new value) order."""
+    for table, x, y in product(("mul", "imp"), range(A.n), range(A.n)):
+        rows = getattr(A, table)
+        for v in range(A.n):
+            if v != rows[x][y]:
+                changed = tuple(tuple(v if (i, j) == (x, y) else rows[i][j]
+                                      for j in range(A.n)) for i in range(A.n))
+                yield dataclasses.replace(A, **{table: changed})
+
+
+@pytest.mark.parametrize("claim_id,names,law", IDENTITY_LAWS,
+                         ids=[claim_id for claim_id, _, _ in IDENTITY_LAWS])
+def test_identity_claims_refute_a_corrupted_table(fixtures, claim_id, names, law):
+    a4 = fixtures["a4"]
+    assert _first_failure(a4, names, law) is None
+    assert verify_claim(a4, claim_id).verdict == "holds"
+    B, witness = next((B, w) for B in _one_entry_corruptions(a4)
+                      if (w := _first_failure(B, names, law)) is not None)
+    assert B.validated
+    outcome = verify_claim(B, claim_id)
+    assert outcome.verdict == "refuted"
+    assert outcome.witness == {v: B.labels[t] for v, t in zip(names, witness)}
 
 
 # -- antitone claims: covering pairs against the all-pairs oracle -----------

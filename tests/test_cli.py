@@ -55,6 +55,48 @@ def test_unparsable_file_exits_2(tmp_path):
     assert cli_main(["validate", str(path)]) == 2
 
 
+def _assert_one_error_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {prefix}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (["validate", str(path)], ["stab", str(path), "--set", "1"],
+                 ["classify", str(path)], ["verify", str(path)],
+                 ["search", "--problem", "1", "--file", str(path)]):
+        assert cli_main(argv) == 2
+        _assert_one_error_line(capsys, f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize("argv", [["gen", "--family", "godel", "--size", "4"],
+                                  ["enumerate", "--size", "3"]],
+                         ids=["gen", "enumerate"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # A path under a missing directory, and a directory.
+    for target in (tmp_path / "missing" / "x.alg", tmp_path):
+        assert cli_main(argv + ["--out", str(target)]) == 2
+        _assert_one_error_line(capsys, f"cannot write {target}: ")
+
+
+@pytest.mark.parametrize("label", ["a,b", "∅"])
+def test_ambiguous_label_exits_2(tmp_path, capsys, label):
+    # a4 with its element a renamed; the comment line mentions a, so drop it.
+    lines = [line for line in fixture_text("a4").splitlines()
+             if not line.startswith("#")]
+    path = tmp_path / "relabelled.alg"
+    path.write_text("\n".join(" ".join(label if t == "a" else t
+                                       for t in line.split())
+                              for line in lines) + "\n", encoding="utf-8")
+    for argv in (["validate", str(path)], ["stab", str(path), "--set", "1"]):
+        assert cli_main(argv) == 2
+        _assert_one_error_line(
+            capsys, f"{path}: label {label!r} contains ',' or is ∅")
+
+
 def test_usage_error_exits_2():
     assert cli_main(["enumerate"]) == 2          # --size missing
     assert cli_main(["no-such-command"]) == 2

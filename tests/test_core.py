@@ -8,11 +8,11 @@ import pytest
 from conftest import (CHAINS64, ORACLE_SOURCES, chain64, derive_lattice_oracle,
                       oracle_corpus, product_algebra, relabel)
 from mtlstab import (
+    AlgebraError,
     LatticeMismatchError,
     NotALatticeError,
     NotValidatedError,
     TableError,
-    check_basic_identities,
     construct,
     leq,
     neg,
@@ -55,6 +55,16 @@ def test_construct_rejects_out_of_range():
 def test_construct_rejects_wrong_shape():
     with pytest.raises(TableError):
         construct(2, [[0, 0]], [[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("label", ["a,b", ",", "∅"])
+def test_construct_rejects_labels_reports_cannot_tell_apart(label):
+    # Reports join labels with ',' and render the empty set as ∅.
+    with pytest.raises(AlgebraError, match="contains ',' or is ∅"):
+        construct(2, [[0, 0], [0, 1]], [[1, 1], [0, 1]], labels=["0", label])
+    # A label that only contains ∅ renders unambiguously.
+    assert construct(2, [[0, 0], [0, 1]], [[1, 1], [0, 1]],
+                     labels=["0", "∅1"]).labels == ("0", "∅1")
 
 
 def test_construct_rejects_non_lattice_order():
@@ -239,15 +249,6 @@ def test_power_examples(small_corpus):
 def test_power_rejects_negative_exponent(fixtures):
     with pytest.raises(ValueError):
         power(fixtures["a4"], 0, -1)
-
-
-def test_basic_identities_hold_everywhere(small_corpus):
-    for name, A in small_corpus.items():
-        report = check_basic_identities(A)
-        assert report.ok, (name, report.records)
-        verdicts = [r for r in report.records if r[0] == "identity"]
-        assert len(verdicts) == 10
-        assert all(v == "holds" for _, _, v in verdicts)
 
 
 def test_product_below_meet(small_corpus):

@@ -15,10 +15,10 @@ PACKAGE_ALL = [
     "InternalConsistencyError", "LatticeMismatchError", "NotALatticeError",
     "NotALatticeIdealError", "NotAProperFilterError", "NotValidatedError",
     "Report", "Subset", "SubsetError", "TableError", "ValidationReport",
-    "all_filters", "all_nonempty_subsets", "check_basic_identities",
-    "construct", "core", "emit_report", "empty", "from_elements",
-    "from_labels", "full", "generated_filter", "generated_lattice_ideal",
-    "godel_center", "impl_left", "impl_right", "impl_stab", "is_filter",
+    "all_filters", "all_nonempty_subsets", "construct", "core",
+    "emit_report", "empty", "from_elements", "from_labels", "full",
+    "generated_filter", "generated_lattice_ideal", "godel_center",
+    "impl_left", "impl_right", "impl_stab", "is_filter",
     "is_lattice_ideal", "is_prime_filter", "is_prime_lattice_ideal",
     "is_proper_filter", "is_subalgebra", "leq", "mult_left", "mult_right",
     "mult_stab", "neg", "order", "ortho", "power", "principal_filter",
@@ -28,8 +28,8 @@ PACKAGE_ALL = [
 ]
 
 PUBLIC_FUNCTIONS = {
-    "core": ["check_basic_identities", "construct", "leq", "neg", "power",
-             "replay_violation", "require_validated", "validate"],
+    "core": ["construct", "leq", "neg", "power", "replay_violation",
+             "require_validated", "validate"],
     "order": ["all_filters", "generated_filter", "generated_lattice_ideal",
               "godel_center", "is_filter", "is_lattice_ideal",
               "is_prime_filter", "is_prime_lattice_ideal", "is_proper_filter",

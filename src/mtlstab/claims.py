@@ -249,7 +249,7 @@ def _documented_at(labels: tuple[str, ...], pred):
 
 def _closure_witness(A, S: Subset, ops: tuple[str, ...]):
     """The first (a, b, op) in S x S x ops whose result leaves S, or None."""
-    escape = _first_escape(A, S, ops)
+    escape = _first_escape(S, [(op, getattr(A, op)) for op in ops])
     if escape is None:
         return None
     op, a, b, _ = escape
@@ -506,13 +506,15 @@ def _induced_claim(builder):
             if induced.trivial:
                 continue
             checked += 1
-            if induced.closure_violations:
-                op, a, b, r = induced.closure_violations[0]
+            if induced.escape:
+                op, a, b, r = induced.escape
                 return False, {
                     "x": A.labels[x],
                     "violation": f"{op}({A.labels[a]},{A.labels[b]})"
                                  f"={A.labels[r]} leaves the carrier",
                 }, checked
+            if induced.refusal:
+                return False, {"x": A.labels[x], "reason": induced.refusal}, checked
             if not induced.report.valid:
                 axiom, witness = induced.report.violations[0]
                 return False, {"x": A.labels[x], "axiom": axiom,
@@ -521,29 +523,18 @@ def _induced_claim(builder):
     return check
 
 
-def _t411(A):
-    checked = 0
-    for x in A.idempotents():
-        checked += 1
-        X = singleton(A, x)
-        if len(mult_right(A, X)) != len(impl_right(A, X)):
-            return False, {"x": A.labels[x], "reason": "size mismatch"}, checked
-        try:
-            order_iso_right(A, x)
-        except InternalConsistencyError as exc:
-            return False, {"x": A.labels[x], "reason": str(exc)}, checked
-    return True, None, checked
-
-
-def _t412(A):
-    checked = 0
-    for x in A.idempotents():
-        checked += 1
-        try:
-            mv_left_iso(A, x)
-        except InternalConsistencyError as exc:
-            return False, {"x": A.labels[x], "reason": str(exc)}, checked
-    return True, None, checked
+def _iso_claim(iso):
+    """iso(A, x) at each idempotent x; an inconsistency it raises refutes."""
+    def check(A):
+        checked = 0
+        for x in A.idempotents():
+            checked += 1
+            try:
+                iso(A, x)
+            except InternalConsistencyError as exc:
+                return False, {"x": A.labels[x], "reason": str(exc)}, checked
+        return True, None, checked
+    return check
 
 
 def _not_evaluable(A):
@@ -720,10 +711,11 @@ def _build_registry() -> dict[str, Claim]:
                         ))))
     claims.append(Claim("T4.11-order-iso",
                         "right stabilizers are order isomorphic at idempotents",
-                        _t411))
+                        _iso_claim(order_iso_right)))
     claims.append(Claim("T4.12-mv-iso",
                         "on MV algebras left and right-mul stabilizers are"
-                        " order isomorphic", _t412, applies=is_mv))
+                        " order isomorphic", _iso_claim(mv_left_iso),
+                        applies=is_mv))
 
     return {c.id: c for c in claims}
 

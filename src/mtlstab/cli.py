@@ -65,12 +65,16 @@ def _validation_report(A: FiniteMtlAlgebra) -> Report:
     return report
 
 
-def _require_valid(A: FiniteMtlAlgebra, report: Report) -> bool:
-    sub = _validation_report(A)
-    if sub.ok:
-        return True
-    report.extend(sub)
-    return False
+class _InvalidAlgebra(Exception):
+    """A file that parses but fails validation; args[0] is its report."""
+
+
+def _load_valid(path: str) -> FiniteMtlAlgebra:
+    A = _load_algebra(path)
+    report = _validation_report(A)
+    if not report.ok:
+        raise _InvalidAlgebra(report)
+    return A
 
 
 def _cmd_validate(args) -> tuple[Report, int]:
@@ -80,34 +84,23 @@ def _cmd_validate(args) -> tuple[Report, int]:
 
 
 def _cmd_stab(args) -> tuple[Report, int]:
-    A = _load_algebra(args.file)
-    report = Report()
-    if not _require_valid(A, report):
-        return report, 1
+    A = _load_valid(args.file)
     try:
         X = from_labels(A, args.set)
     except KeyError as exc:
         raise _InputError(exc.args[0]) from exc
     if X.is_empty():
         raise _InputError("--set must name at least one element")
-    report.extend(stabilizer_suite(A, X))
-    return report, 0
+    return stabilizer_suite(A, X), 0
 
 
 def _cmd_classify(args) -> tuple[Report, int]:
-    A = _load_algebra(args.file)
-    report = Report()
-    if not _require_valid(A, report):
-        return report, 1
-    report.extend(classify(A))
+    report = classify(_load_valid(args.file))
     return report, 0 if report.ok else 1
 
 
 def _cmd_verify(args) -> tuple[Report, int]:
-    A = _load_algebra(args.file)
-    report = Report()
-    if not _require_valid(A, report):
-        return report, 1
+    A = _load_valid(args.file)
     if args.claim is not None:
         try:
             outcomes = [verify_claim(A, args.claim)]
@@ -115,7 +108,7 @@ def _cmd_verify(args) -> tuple[Report, int]:
             raise _InputError(f"unknown claim id {args.claim!r}")
     else:
         outcomes = verify_all(A, jobs=args.jobs)
-    report.extend(outcome_report(outcomes, documented_divergences(A)))
+    report = outcome_report(outcomes, documented_divergences(A))
     return report, 0 if report.ok else 1
 
 
@@ -156,10 +149,7 @@ def _cmd_enumerate(args) -> tuple[Report, int]:
 def _cmd_search(args) -> tuple[Report, int]:
     report = Report()
     if args.file:
-        A = _load_algebra(args.file)
-        if not _require_valid(A, report):
-            return report, 1
-        corpus = [A]
+        corpus = [_load_valid(args.file)]
     else:
         try:
             corpus = enumerate_all(args.size, args.jobs)
@@ -286,6 +276,8 @@ def cli_main(argv=None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _InvalidAlgebra as exc:
+        report, code = exc.args[0], 1
     sys.stdout.write(emit_report(report, machine=args.format == "machine"))
     return code
 

@@ -166,6 +166,9 @@ def construct(
         for label in labels:  # reports join labels with ',' and show {} as ∅
             if "," in label or label == EMPTY_SET_SYMBOL:
                 raise AlgebraError(f"label {label!r} contains ',' or is ∅")
+            if label.split() != [label] or "#" in label:  # file tokens
+                raise AlgebraError(f"label {label!r} is empty or contains"
+                                   " whitespace or '#'")
 
     mul = _check_table("mul", mul, n)
     imp = _check_table("imp", imp, n)

@@ -5,15 +5,16 @@ For an idempotent x the left stabilizer carrier gets bot = x and top = 1
 with all operations restricted; the right stabilizer carrier gets bot = 0,
 top = x, restricted mul/meet/join and the implication
 ``a ~> b = mul(x, imp(a, b))``.  One-element carriers are reported as
-trivial rather than validated; closure or axiom failures are reported on
-the result, not raised.
+trivial rather than validated; closure failures, tables that `construct`
+refuses and axiom failures are reported on the result, not raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
+    AlgebraError,
     FiniteMtlAlgebra,
     InternalConsistencyError,
     ValidationReport,
@@ -21,6 +22,7 @@ from .core import (
     require_validated,
     validate,
 )
+from .order import _first_escape
 from .subsets import Subset, singleton
 from .stabilizers import impl_left, impl_right, mult_left, mult_right
 
@@ -43,13 +45,13 @@ class InducedAlgebra:
     carrier: Subset
     algebra: FiniteMtlAlgebra | None
     trivial: bool = False
-    closure_violations: list[tuple[str, int, int, int]] = field(default_factory=list)
+    escape: tuple[str, int, int, int] | None = None   # (op, a, b, result)
+    refusal: str | None = None        # why no algebra was built on a closed carrier
     report: ValidationReport | None = None
 
     @property
     def ok(self) -> bool:
-        return (self.algebra is not None and self.report is not None
-                and self.report.valid)
+        return self.report is not None and self.report.valid
 
 
 def _trivial(carrier: Subset) -> bool:
@@ -57,20 +59,12 @@ def _trivial(carrier: Subset) -> bool:
     return len(carrier) < 2
 
 
-def _restrict(pos: dict[int, int], table, name: str,
-              violations: list) -> list[list[int]] | None:
-    """`table` on the carrier whose element e sits at position pos[e]."""
-    rows = []
-    for a in pos:
-        row = []
-        for b in pos:
-            r = table[a][b]
-            if r not in pos:
-                violations.append((name, a, b, r))
-                return None
-            row.append(pos[r])
-        rows.append(row)
-    return rows
+def _restrict(pos: dict[int, int], ops) -> list | None:
+    """Each table of `ops` on the carrier, e at pos[e]; None if one leaves it."""
+    try:
+        return [[[pos[t[a][b]] for b in pos] for a in pos] for _, t in ops]
+    except KeyError:
+        return None
 
 
 def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
@@ -81,19 +75,24 @@ def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
         result.trivial = True
         return result
     pos = {e: i for i, e in enumerate(members)}
-    violations = result.closure_violations
-    mul = _restrict(pos, A.mul, "mul", violations)
-    meet = _restrict(pos, A.meet, "meet", violations)
-    join = _restrict(pos, A.join, "join", violations)
-    imp = None if violations else _restrict(pos, imp_table, "imp", violations)
-    if violations:
+    ops = (("mul", A.mul), ("imp", imp_table), ("meet", A.meet), ("join", A.join))
+    tables = _restrict(pos, ops)
+    if tables is None:
+        result.escape = _first_escape(carrier, ops)
         return result
-    result.algebra = construct(
-        len(members), mul, imp, meet, join,
-        bot=pos[bot_elt], top=pos[top_elt],
-        labels=tuple(A.labels[e] for e in members),
-        name=f"{A.name or 'algebra'}|{A.labels[bot_elt]}..{A.labels[top_elt]}",
-    )
+    missing = [A.labels[e] for e in (bot_elt, top_elt) if e not in pos]
+    if missing:
+        result.refusal = f"{missing[0]} is not in the carrier"
+        return result
+    try:
+        result.algebra = construct(
+            len(members), *tables, bot=pos[bot_elt], top=pos[top_elt],
+            labels=tuple(A.labels[e] for e in members),
+            name=f"{A.name or 'algebra'}|{A.labels[bot_elt]}..{A.labels[top_elt]}",
+        )
+    except AlgebraError as exc:
+        result.refusal = str(exc)
+        return result
     result.report = validate(result.algebra)
     return result
 
@@ -126,10 +125,10 @@ def _monotone(A: FiniteMtlAlgebra, S: Subset, f) -> bool:
 def order_iso_right(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:
     """The order isomorphism mult_right({x}) -> impl_right({x}).
 
-    Maps a to imp(x, a); the inverse is a to mul(x, a).  Totality, order
-    preservation both ways and the two round trips are asserted; x must be
-    idempotent, so mul(x, u) lies in mult_right({x}) and the round trips
-    make the map a bijection.
+    Maps a to imp(x, a); the inverse is u to mul(x, u).  Both maps must land
+    in the other stabilizer, both round trips must be the identity, which
+    makes the map a bijection, and both maps must preserve order; x must be
+    idempotent.
     """
     require_validated(A)
     _require_idempotent(A, x)
@@ -144,6 +143,8 @@ def order_iso_right(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:
 
     if any(v not in target for v in g.values()):
         fail("image leaves the right implicative stabilizer")
+    if any(A.mul[x][u] not in source for u in target.members()):
+        fail("inverse image leaves the right multiplicative stabilizer")
     for a in source.members():
         if A.mul[x][g[a]] != a:
             fail("inverse round trip g then mul-by-x is not the identity")

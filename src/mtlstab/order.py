@@ -136,10 +136,9 @@ def godel_center(A: FiniteMtlAlgebra) -> Subset:
 _SUBALG_OPS = ("mul", "imp", "meet", "join")
 
 
-def _first_escape(A: FiniteMtlAlgebra, S: Subset, ops: tuple[str, ...]):
-    """(op-name, x, y, result) for the first x, y in S, lexicographically,
-    and op in `ops`, in the order given, whose result leaves S; or None."""
-    tables = [(name, getattr(A, name)) for name in ops]
+def _first_escape(S: Subset, tables):
+    """(name, x, y, result) for the first x, y in S, lexicographically, and
+    (name, table) in `tables`, in order, whose result leaves S; or None."""
     members = S.members()
     for x in members:
         for y in members:
@@ -162,7 +161,7 @@ def subalgebra_violation(A: FiniteMtlAlgebra, S: Subset):
         return ("missing", A.bot)
     if A.top not in S:
         return ("missing", A.top)
-    return _first_escape(A, S, _SUBALG_OPS)
+    return _first_escape(S, [(op, getattr(A, op)) for op in _SUBALG_OPS])
 
 
 def is_subalgebra(A: FiniteMtlAlgebra, S: Subset) -> bool:

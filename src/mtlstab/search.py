@@ -29,8 +29,8 @@ from functools import partial
 from itertools import product
 from operator import itemgetter
 
-from .core import (FiniteMtlAlgebra, NotALatticeError, _derive_lattice,
-                   _mask, construct, validate)
+from .core import (MAX_CARRIER, FiniteMtlAlgebra, NotALatticeError,
+                   _derive_lattice, _mask, construct, validate)
 from .classify import is_mv
 from .induced import (_trivial, check_mtl_iso, left_mult_algebra,
                       right_mult_algebra)
@@ -62,7 +62,9 @@ class SearchFinding:
 
 
 def _chain_labels(n: int) -> tuple[str, ...]:
-    interior = [chr(ord("a") + i) for i in range(n - 2)]
+    """0, the interior a..x, a1..x1, a2.. in that order, then 1."""
+    interior = [chr(ord("a") + i % 24) + (str(i // 24) if i >= 24 else "")
+                for i in range(n - 2)]
     return tuple(["0"] + interior + ["1"])
 
 
@@ -92,10 +94,8 @@ def gen_family(family: str, n: int) -> FiniteMtlAlgebra:
     nilpotent_minimum: mul(i, j) = 0 when i + j <= top, else min(i, j),
     and imp(i, j) = max(top - i, j).
     """
-    if n < 2:
-        raise SizeRangeError("family chains need at least 2 elements")
-    if n > 26:
-        raise SizeRangeError("chain labels run out beyond 26 elements")
+    if not 2 <= n <= MAX_CARRIER:
+        raise SizeRangeError(f"family chains support sizes 2..{MAX_CARRIER}")
     top = n - 1
     rng = range(n)
     if family == "lukasiewicz":

@@ -253,25 +253,6 @@ def product_algebra(A, B):
                  top=pair(A.top, B.top))
 
 
-def chain64(name, mul, imp):
-    """An unvalidated 64-element algebra from its mul and imp as functions of
-    two elements; without meet and join, construct derives the lattice."""
-    n = 64
-    return construct(n, [[mul(x, y) for y in range(n)] for x in range(n)],
-                     [[imp(x, y) for y in range(n)] for x in range(n)],
-                     labels=[f"e{x}" for x in range(n)], name=name)
-
-
-# The three 64-element family chains, beyond gen's 26-element label limit.
-CHAINS64 = {
-    "lukasiewicz64": (lambda x, y: max(0, x + y - 63),
-                      lambda x, y: min(63, 63 - x + y)),
-    "godel64": (min, lambda x, y: 63 if x <= y else y),
-    "nilpotent_minimum64": (lambda x, y: 0 if x <= 63 - y else min(x, y),
-                            lambda x, y: 63 if x <= y else max(63 - x, y)),
-}
-
-
 def _make(n, mul, imp, labels, name, **bounds):
     A = construct(n, mul, imp, labels=labels, name=name, **bounds)
     report = validate(A)

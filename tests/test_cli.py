@@ -4,14 +4,13 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import CHAINS64, chain64
 from test_golden import GOLDEN, _render
 from mtlstab.algfile import parse_corpus, serialize_algebra
 from mtlstab.classify import is_godel
 from mtlstab.cli import _build_parser, cli_main
-from mtlstab.core import validate
+from mtlstab.core import construct, validate
 from mtlstab.fixtures import fixture_text
-from mtlstab.search import FAMILIES
+from mtlstab.search import FAMILIES, gen_family
 
 
 @pytest.fixture()
@@ -193,6 +192,14 @@ def test_search_file_mode(fixture_file):
     assert code == (1 if has_findings else 0)
 
 
+def boolean64():
+    """The Boolean algebra 2^6, unvalidated: elements are bit sets, mul is
+    AND and imp(x, y) is (not x) or y."""
+    rng = range(64)
+    return construct(64, [[x & y for y in rng] for x in rng],
+                     [[(63 ^ x) | y for y in rng] for x in rng], name="boolean64")
+
+
 def _timed_search(problem, path):
     start = time.perf_counter()
     code, out = run_cli(["search", "--problem", problem, "--file", str(path),
@@ -202,18 +209,15 @@ def _timed_search(problem, path):
 
 @pytest.mark.parametrize("problem", ["1", "2", "3"])
 def test_search_file_is_bounded_on_64_element_chain(tmp_path, problem):
-    # gen stops at 26 elements, so the 64-element chains and the Boolean
-    # algebra 2^6 (elements are bit sets) are built here; a scan over the
+    # The 64-element chains and the Boolean algebra 2^6; a scan over the
     # 2^64 subsets would never return.  The files leave out the meet and
     # join blocks, so the parse derives both lattices from the imp-order.
     # Problem 3 runs on the three family chains; on the Godel chain each of
     # the 62 interior idempotents induces two algebras to validate.
     if problem == "3":
-        algebras = [chain64(name, *tables) for name, tables in CHAINS64.items()]
+        algebras = [gen_family(f, 64) for f in FAMILIES]
     else:
-        algebras = [chain64("lukasiewicz64", *CHAINS64["lukasiewicz64"]),
-                    chain64("boolean64", lambda x, y: x & y,
-                            lambda x, y: (63 ^ x) | y)]
+        algebras = [gen_family("lukasiewicz", 64), boolean64()]
     for A in algebras:
         path = tmp_path / f"{A.name}.alg"
         path.write_text(serialize_algebra(A))
@@ -286,6 +290,18 @@ def test_gen_roundtrip(tmp_path):
     assert code == 0
     (A,) = parse_corpus(out_path.read_text())
     assert validate(A).valid and is_godel(A)
+
+
+def test_gen_reaches_64_elements(tmp_path, capsys):
+    path = tmp_path / "nm64.alg"
+    assert cli_main(["gen", "--family", "nilpotent_minimum", "--size", "64",
+                     "--out", str(path)]) == 0
+    (A,) = parse_corpus(path.read_text())
+    assert validate(A).valid and A.n == 64
+    assert A.labels[24:27] == ("x", "a1", "b1") and A.labels[-2:] == ("n2", "1")
+    capsys.readouterr()
+    assert cli_main(["gen", "--family", "godel", "--size", "65"]) == 2
+    _assert_one_error_line(capsys, "family chains support sizes 2..64")
 
 
 def test_gen_unknown_family_exits_2():

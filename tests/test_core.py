@@ -5,8 +5,8 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import (CHAINS64, ORACLE_SOURCES, chain64, derive_lattice_oracle,
-                      oracle_corpus, product_algebra, relabel)
+from conftest import (ORACLE_SOURCES, derive_lattice_oracle, oracle_corpus,
+                      product_algebra, relabel)
 from mtlstab import (
     AlgebraError,
     LatticeMismatchError,
@@ -22,7 +22,7 @@ from mtlstab import (
 )
 from mtlstab.core import _derive_lattice, _rows_hold, _violations
 from mtlstab.fixtures import load_fixture_raw
-from mtlstab.search import enumerate_all, enumerate_chains
+from mtlstab.search import FAMILIES, enumerate_all, enumerate_chains, gen_family
 
 
 def test_construct_derives_chain_lattice(fixtures):
@@ -65,6 +65,13 @@ def test_construct_rejects_labels_reports_cannot_tell_apart(label):
     # A label that only contains ∅ renders unambiguously.
     assert construct(2, [[0, 0], [0, 1]], [[1, 1], [0, 1]],
                      labels=["0", "∅1"]).labels == ("0", "∅1")
+
+
+@pytest.mark.parametrize("label", ["", "a b", "#x", "a#b"])
+def test_construct_rejects_labels_the_file_format_cannot_carry(label):
+    # Files split tokens on whitespace, and '#' starts a comment.
+    with pytest.raises(AlgebraError, match="is empty or contains whitespace or '#'"):
+        construct(2, [[0, 0], [0, 1]], [[1, 1], [0, 1]], labels=["0", label])
 
 
 def test_construct_rejects_non_lattice_order():
@@ -157,7 +164,7 @@ def test_row_pass_accepts_products_and_64_element_chains(small_corpus):
     algebras = [product_algebra(A, B) for A, B in product(
         chains + [small_corpus["a5"]], chains)]
     algebras.append(product_algebra(algebras[0], small_corpus["c5"]))
-    algebras += [chain64(name, *tables) for name, tables in CHAINS64.items()]
+    algebras += [gen_family(f, 64) for f in FAMILIES]
     for A in algebras:
         assert _rows_hold(A) and _laws_hold(A), A.name
         assert validate(A).valid

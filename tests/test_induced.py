@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import product_algebra, relabel
-from mtlstab import InternalConsistencyError, from_labels
+from mtlstab import InternalConsistencyError, from_labels, mult_right, singleton
+from mtlstab.claims import verify_claim
 from mtlstab.induced import (
     NotIdempotentError,
     NotMvError,
@@ -97,6 +98,25 @@ def test_order_iso_roundtrips_everywhere(small_corpus):
             for a, u in g.items():
                 assert A.mul[x][u] == a
                 assert A.imp[x][A.mul[x][u]] == u
+
+
+def test_order_iso_right_checks_the_inverse_image():
+    # With a cleared from the cached mult_right({1}), imp(1, -) still maps
+    # {0, b, 1} into impl_right({1}) = {0, a, b, 1} with both round trips,
+    # but misses a: mul(1, a) = a leaves the source.
+    A = gen_family("lukasiewicz", 4)
+    mult_right(A, singleton(A, A.top))  # fills the mask cache
+    masks = list(A._mask_cache()["mult_right"])
+    masks[A.top] &= ~(1 << A.index("a"))
+    A._mask_cache()["mult_right"] = tuple(masks)
+    reason = ("order isomorphism fails at x=1:"
+              " inverse image leaves the right multiplicative stabilizer")
+    with pytest.raises(InternalConsistencyError, match=reason):
+        order_iso_right(A, A.top)
+    for cid in ("T4.11-order-iso", "T4.12-mv-iso"):
+        outcome = verify_claim(A, cid)
+        assert (outcome.verdict, outcome.witness) == \
+            ("refuted", {"x": "1", "reason": reason})
 
 
 def test_mv_left_iso(fixtures, boolean2):

@@ -69,7 +69,7 @@ from .stabilizers import (
     mult_stab,
     ortho,
 )
-from .subsets import Subset, from_elements, from_labels, full, singleton
+from .subsets import Subset, from_labels, full, singleton
 from ._pool import pmap
 
 class UnknownClaimError(KeyError):
@@ -98,22 +98,29 @@ class Claim:
 # ---------------------------------------------------------------------------
 # Check builders.
 
-def _tuple_claim(arity: int, pred):
-    """pred(A, *tup) on every element tuple; the witness names x, y, z."""
-    def check(A):
-        count = 0
-        for tup in product(range(A.n), repeat=arity):
-            count += 1
-            if not pred(A, *tup):
-                return False, {v: A.labels[t] for v, t in zip("xyz", tup)}, count
-        return True, None, count
-    return check
+def _row_scan(A, names: str, prefixes, row):
+    """row(A, *p, E) gives a law's truth at each last element in the carrier
+    E, for each prefix p in order; the witness names the first failing tuple
+    by `names`, and the scope counts the tuples up to it, or all of them."""
+    count, E = 0, range(A.n)
+    for prefix in prefixes:
+        truth = row(A, *prefix, E)
+        if not all(truth):
+            tup = (*prefix, truth.index(False))
+            return False, {v: A.labels[t] for v, t in zip(names, tup)}, count + tup[-1] + 1
+        count += A.n
+    return True, None, count
+
+
+def _tuple_claim(arity: int, row):
+    """A law on every element tuple, lexicographic; the witness names x, y, z."""
+    return lambda A: _row_scan(A, "xyz", product(range(A.n), repeat=arity - 1), row)
 
 
 def _scan(A, pred, domain, scope):
     """The first X in domain whose pred(A, X) gives a witness, named in it."""
     for bits in domain:
-        X = Subset(A, bits)
+        X = Subset._of(A, bits)
         w = pred(A, X)
         if w is not None:
             w.setdefault("X", X.render())
@@ -179,12 +186,12 @@ def _cross_route(table_name: str, op_left, op_right):
     the singletons, and `_intersect` itself is tested on every subset.
     """
     def pred(A, X):
-        table, xs = getattr(A, table_name), X.members()
-        for name, fixed, op in (
-            ("left", lambda a: all(table[a][x] == x for x in xs), op_left),
-            ("right", lambda a: all(table[x][a] == a for x in xs), op_right),
+        table, xs, rng = getattr(A, table_name), X.members(), range(A.n)
+        for name, literal, op in (
+            ("left", [a for a in rng if all(table[a][x] == x for x in xs)], op_left),
+            ("right", [a for a in rng if all(table[x][a] == a for x in xs)], op_right),
         ):
-            whole = from_elements(A, filter(fixed, range(A.n)))
+            whole = Subset._of(A, sum(1 << a for a in literal))
             intersection = op(A, X)
             if whole != intersection:
                 return {"part": name, "whole": whole.render(),
@@ -197,19 +204,23 @@ def _antitone_check(parts):
     """X a proper subset of Y forces op(Y) <= op(X), for every part.  Each
     value ANDs one-point masks, so only `_intersect` could break this, and
     tests pin it on every subset of their corpus.  So the covering pairs
-    ({x}, {x, y}) are checked, the larger singleton first, and the scope
-    counts all 3^n - 2^(n+1) + 1 pairs; the two-sided part cannot fail
-    first."""
-    def pred(A, Y):
-        for y in Y.members() if len(Y) == 2 else ():
-            X = Subset(A, Y.bits ^ 1 << y)
-            for name, op in parts:
-                if not op(A, Y).issubset(op(A, X)):
-                    return {"part": name, "X": X.render(), "Y": Y.render()}
-        return None
-
-    scan = _claim_on(_singletons_and_pairs, pred)
-    return lambda A: (*scan(A)[:2], 3 ** A.n - 2 ** (A.n + 1) + 1)
+    ({x}, {x, y}) are checked, Y ascending by bits and the larger singleton
+    first, each one-point value computed once, and the scope counts all
+    3^n - 2^(n+1) + 1 pairs; the two-sided part cannot fail first."""
+    def check(A):
+        scope = 3 ** A.n - 2 ** (A.n + 1) + 1
+        one = [Subset._of(A, 1 << x) for x in range(A.n)]
+        of_one = [[op(A, X).bits for _, op in parts] for X in one]
+        for y, x in ((y, x) for y in range(A.n) for x in range(y)):
+            Y = one[x] | one[y]
+            of_y = [op(A, Y).bits for _, op in parts]
+            for kept in (y, x):
+                for (name, _), bits, bound in zip(parts, of_y, of_one[kept]):
+                    if bits & ~bound:
+                        return False, {"part": name, "X": one[kept].render(),
+                                       "Y": Y.render()}, scope
+        return True, None, scope
+    return check
 
 
 def _blind_to_generation(op):
@@ -270,35 +281,36 @@ def _subalgebra_witness(A, S: Subset):
 
 # -- basic identities -------------------------------------------------------
 
-# Prop. 2.2 as (statement, arity, law on A and an element tuple).  Items 1-10
-# are the MTL laws of Esteva and Godo; 11 and 12 are cited in the surrounding
-# development but absent from that list of ten.
+# Prop. 2.2 as (statement, arity, law): the law on A, a tuple but its last
+# element, and the carrier E is its truth at each last element in E.  Items
+# 1-10 are the MTL laws of Esteva and Godo; 11 and 12 are cited in the
+# surrounding development but absent from that list of ten.
 _IDENTITIES = {
-    "P2.2.1": ("x <= y exactly when imp(x, y) is top", 2, lambda A, x, y:
-               (A.meet[x][y] == x) == (A.imp[x][y] == A.top)),
-    "P2.2.2": ("mul(x, y) lies below meet(x, y)", 2, lambda A, x, y:
-               A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y]),
-    "P2.2.3": ("imp distributes over meet on the right", 3, lambda A, x, y, z:
-               A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]]),
-    "P2.2.4": ("imp turns join on the left into meet", 3, lambda A, x, y, z:
-               A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]]),
-    "P2.2.5": ("imp(x, y) equals imp(x, meet(x, y))", 2, lambda A, x, y:
-               A.imp[x][y] == A.imp[x][A.meet[x][y]]),
-    "P2.2.6": ("imp(x, y) equals imp(join(x, y), y)", 2, lambda A, x, y:
-               A.imp[x][y] == A.imp[A.join[x][y]][y]),
-    "P2.2.7": ("imp turns meet on the left into join", 3, lambda A, x, y, z:
-               A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]]),
-    "P2.2.8": ("join is recovered from double residuation", 2, lambda A, x, y:
-               A.join[x][y]
-               == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]),
-    "P2.2.9": ("x lies below imp(y, x)", 2, lambda A, x, y:
-               A.meet[x][A.imp[y][x]] == x),
-    "P2.2.10": ("triple negation collapses to single negation", 1, lambda A, x:
-                A.imp[x][A.bot] == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot]),
-    "P2.2.11": ("an element times its negation is bot", 1, lambda A, x:
-                A.mul[x][A.imp[x][A.bot]] == A.bot),
-    "P2.2.12": ("x lies below imp(imp(x, y), y)", 2, lambda A, x, y:
-                A.meet[x][A.imp[A.imp[x][y]][y]] == x),
+    "P2.2.1": ("x <= y exactly when imp(x, y) is top", 2, lambda A, x, E:
+               [(A.meet[x][y] == x) == (A.imp[x][y] == A.top) for y in E]),
+    "P2.2.2": ("mul(x, y) lies below meet(x, y)", 2, lambda A, x, E:
+               [A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y] for y in E]),
+    "P2.2.3": ("imp distributes over meet on the right", 3, lambda A, x, y, E:
+               [A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]] for z in E]),
+    "P2.2.4": ("imp turns join on the left into meet", 3, lambda A, x, y, E:
+               [A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]] for z in E]),
+    "P2.2.5": ("imp(x, y) equals imp(x, meet(x, y))", 2, lambda A, x, E:
+               [A.imp[x][y] == A.imp[x][A.meet[x][y]] for y in E]),
+    "P2.2.6": ("imp(x, y) equals imp(join(x, y), y)", 2, lambda A, x, E:
+               [A.imp[x][y] == A.imp[A.join[x][y]][y] for y in E]),
+    "P2.2.7": ("imp turns meet on the left into join", 3, lambda A, x, y, E:
+               [A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]] for z in E]),
+    "P2.2.8": ("join is recovered from double residuation", 2, lambda A, x, E:
+               [A.join[x][y] == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]
+                for y in E]),
+    "P2.2.9": ("x lies below imp(y, x)", 2, lambda A, x, E:
+               [A.meet[x][A.imp[y][x]] == x for y in E]),
+    "P2.2.10": ("triple negation collapses to single negation", 1, lambda A, E:
+                [A.imp[x][A.bot] == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot] for x in E]),
+    "P2.2.11": ("an element times its negation is bot", 1, lambda A, E:
+                [A.mul[x][A.imp[x][A.bot]] == A.bot for x in E]),
+    "P2.2.12": ("x lies below imp(imp(x, y), y)", 2, lambda A, x, E:
+                [A.meet[x][A.imp[A.imp[x][y]][y]] == x for y in E]),
 }
 
 
@@ -387,6 +399,8 @@ def _t310_membership_cond(A) -> bool:
 
 def _p39_center_right(A):
     l0 = impl_left(A, singleton(A, A.bot))
+    if l0.is_empty():  # top is in it on every valid table
+        return False, {"reason": "the left stabilizer of {bot} is empty"}, 1
     w = _subalgebra_witness(A, impl_right(A, l0))
     return w is None, w, 1
 
@@ -401,7 +415,11 @@ def _t315_mv(A, X):
 def _p317_check(A):
     filters = all_filters(A)
     for f in filters:
-        if impl_right(A, impl_right(A, f)) != f:
+        right = impl_right(A, f)
+        if right.is_empty():  # top is in it on every valid table
+            return False, {"filter": f.render(),
+                           "reason": "its right stabilizer is empty"}, len(filters)
+        if impl_right(A, right) != f:
             # Premise fails; nothing to conclude.
             return True, None, len(filters)
     if not is_mv(A):
@@ -554,15 +572,10 @@ def _build_registry() -> dict[str, Claim]:
         # A.idempotents() selects on mul(e, e) == e: nothing is left to fail.
         return True, None, len(A.idempotents())
 
-    def p242(A):
-        count = 0
-        for e, x, y in product(A.idempotents(), range(A.n), range(A.n)):
-            count += 1
-            e_times = A.mul[e]  # e * (x -> y) == e * ((e * x) -> (e * y))
-            if e_times[A.imp[x][y]] != e_times[A.imp[e_times[x]][e_times[y]]]:
-                return False, {"e": A.labels[e], "x": A.labels[x],
-                               "y": A.labels[y]}, count
-        return True, None, count
+    def p242(A):  # e * (x -> y) == e * ((e * x) -> (e * y))
+        prefixes = product(A.idempotents(), range(A.n))
+        return _row_scan(A, "exy", prefixes, lambda A, e, x, E: [
+            A.mul[e][A.imp[x][y]] == A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]] for y in E])
 
     claims.append(Claim("P2.4.1", "center members are idempotent", p241))
     claims.append(Claim("P2.4.2",

@@ -14,7 +14,7 @@ from .core import FiniteMtlAlgebra, require_validated
 from .order import is_prime_filter, is_prime_lattice_ideal, is_proper_filter
 from .report import Report
 from .stabilizers import impl_left, impl_stab, mult_left, mult_right, ortho
-from .subsets import Subset, full, singleton
+from .subsets import singleton
 
 
 def is_bl(A: FiniteMtlAlgebra) -> bool:
@@ -76,9 +76,7 @@ def imtl_by_stabilizers(A: FiniteMtlAlgebra) -> bool:
 
 def integral_by_stabilizers(A: FiniteMtlAlgebra) -> bool:
     """Stabilizer route: left stabilizer of bot is everything except bot."""
-    zero = singleton(A, A.bot)
-    rest = full(A).bits & ~(1 << A.bot)
-    return impl_left(A, zero) == Subset(A, rest)
+    return impl_left(A, singleton(A, A.bot)).bits == (1 << A.n) - 1 ^ 1 << A.bot
 
 
 def godel_by_left_stabilizers(A: FiniteMtlAlgebra) -> bool:

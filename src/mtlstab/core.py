@@ -86,13 +86,13 @@ class FiniteMtlAlgebra:
             object.__setattr__(self, "_masks", cache)
         return cache
 
-    def _fixed_masks(self, key: str, build) -> tuple[int, ...]:
-        """Per-element bitmasks, cached under `key` as tuple(build())."""
-        cache = self._mask_cache()
-        masks = cache.get(key)
-        if masks is None:
-            masks = cache[key] = tuple(build())
-        return masks
+    def _fixed_masks(self, key: str) -> tuple[int, ...]:
+        """The per-element bitmasks `_MASKS[key]` builds, cached under `key`."""
+        try:
+            return self.__dict__["_masks"][key]
+        except KeyError:
+            masks = self._mask_cache()[key] = tuple(_MASKS[key](self))
+            return masks
 
     def upset_mask(self, x: int) -> int:
         return _upsets(self)[x]
@@ -103,12 +103,12 @@ class FiniteMtlAlgebra:
 
 def _upsets(A: FiniteMtlAlgebra) -> tuple[int, ...]:
     """Bit y of _upsets(A)[x] is set when x <= y."""
-    return A._fixed_masks("up", lambda: map(_mask, A.meet, range(A.n)))
+    return A._fixed_masks("up")
 
 
 def _downsets(A: FiniteMtlAlgebra) -> tuple[int, ...]:
     """Bit y of _downsets(A)[x] is set when y <= x."""
-    return A._fixed_masks("down", lambda: map(_fixed_points, zip(*A.meet)))
+    return A._fixed_masks("down")
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,18 @@ def _flag(value: int, on: bytes = b"\1", off: bytes = b"\0") -> bytes:
 def _fixed_points(row) -> int:
     """Bit y is set when row[y] == y."""
     return sum(1 << y for y, v in enumerate(row) if v == y)
+
+
+# Per-element masks by cache key: the order's cones and the one-point values.
+_MASKS = {
+    "up": lambda A: map(_mask, A.meet, range(A.n)),
+    "down": lambda A: map(_fixed_points, zip(*A.meet)),
+    "impl_left": lambda A: map(_mask, zip(*A.imp), range(A.n)),
+    "impl_right": lambda A: map(_fixed_points, A.imp),
+    "ortho": lambda A: [_mask(c, A.top) for c in zip(*A.join)],
+    "mult_left": lambda A: map(_mask, zip(*A.mul), range(A.n)),
+    "mult_right": lambda A: map(_fixed_points, A.mul),
+}
 
 
 def _lowest(mask: int) -> int:

@@ -8,6 +8,8 @@ carrier) counts as a filter; properness is a predicate, not a type.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .core import FiniteMtlAlgebra, _downsets, _upsets, require_validated
 from .subsets import Subset, require_nonempty
 
@@ -60,7 +62,7 @@ def _generated(A: FiniteMtlAlgebra, X: Subset, table, cones) -> Subset:
     """The least superset of X closed under `table` and cones."""
     require_validated(A)
     require_nonempty(X)
-    return Subset(A, cones[_least(A, X.bits, table)])
+    return Subset._of(A, cones[_least(A, X.bits, table)])
 
 
 def _is_prime(A: FiniteMtlAlgebra, S: Subset, dual_table, dual_cones) -> bool:
@@ -95,7 +97,7 @@ def all_filters(A: FiniteMtlAlgebra) -> list[Subset]:
     idempotents (see the comment above `_least`)."""
     require_validated(A)
     upsets = _upsets(A)
-    return [Subset(A, bits) for bits in sorted(upsets[e] for e in A.idempotents())]
+    return [Subset._of(A, bits) for bits in sorted(upsets[e] for e in A.idempotents())]
 
 
 def is_lattice_ideal(A: FiniteMtlAlgebra, I: Subset) -> bool:
@@ -105,13 +107,13 @@ def is_lattice_ideal(A: FiniteMtlAlgebra, I: Subset) -> bool:
 def principal_ideal(A: FiniteMtlAlgebra, t: int) -> Subset:
     """The downset of t."""
     require_validated(A)
-    return Subset(A, A.downset_mask(t))
+    return Subset._of(A, A.downset_mask(t))
 
 
 def principal_filter(A: FiniteMtlAlgebra, t: int) -> Subset:
     """The upset of t."""
     require_validated(A)
-    return Subset(A, A.upset_mask(t))
+    return Subset._of(A, A.upset_mask(t))
 
 
 def generated_lattice_ideal(A: FiniteMtlAlgebra, H: Subset) -> Subset:
@@ -130,7 +132,7 @@ def godel_center(A: FiniteMtlAlgebra) -> Subset:
     """The idempotent elements of mul.  Claim P2.4.2 checks that each one
     satisfies ``e * (x -> y) == e * ((e * x) -> (e * y))``."""
     require_validated(A)
-    return Subset(A, sum(1 << e for e in A.idempotents()))
+    return Subset._of(A, sum(1 << e for e in A.idempotents()))
 
 
 _SUBALG_OPS = ("mul", "imp", "meet", "join")
@@ -139,13 +141,11 @@ _SUBALG_OPS = ("mul", "imp", "meet", "join")
 def _first_escape(S: Subset, tables):
     """(name, x, y, result) for the first x, y in S, lexicographically, and
     (name, table) in `tables`, in order, whose result leaves S; or None."""
-    members = S.members()
-    for x in members:
-        for y in members:
-            for name, table in tables:
-                r = table[x][y]
-                if r not in S:
-                    return (name, x, y, r)
+    bits = S.bits
+    for x, y in product(S.members(), repeat=2):
+        for name, table in tables:
+            if not bits >> table[x][y] & 1:
+                return (name, x, y, table[x][y])
     return None
 
 

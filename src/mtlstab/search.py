@@ -398,11 +398,13 @@ def open1_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
     impl_left and impl_right are the Galois pair of the relation
     imp(a, x) == x: impl_right(F) is the largest X whose left stabilizer
     contains F, and it always holds top.  So F is a left stabilizer exactly
-    when it is that of impl_right(F).
+    when it is that of impl_right(F).  A filter whose impl_right is empty,
+    which only a broken one-point mask gives, is skipped.
     """
     findings = []
     for F in all_filters(A):
-        if impl_left(A, impl_right(A, F)) != F:
+        right = impl_right(A, F)
+        if not right.is_empty() and impl_left(A, right) != F:
             findings.append(SearchFinding(
                 "open1", A, {"filter": F.render(),
                              "reason": "no X has this left stabilizer"}))

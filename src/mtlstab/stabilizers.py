@@ -15,37 +15,41 @@ of X).  Empty X is rejected everywhere: empty results are legal, empty
 inputs are not.
 
 Each one-sided operator ANDs the one-point masks of X's members, built once
-per algebra from the table and cached on it; values are not kept.
+per algebra from the table (`core._MASKS`) and cached on it under the
+operator's name; values are not kept.  `_intersect` checks its input once,
+a nonempty X of a validated A, and builds its value with the unchecked
+`Subset._of`.
 """
 
 from __future__ import annotations
 
-from .core import FiniteMtlAlgebra, _fixed_points, _mask, require_validated
+from .core import FiniteMtlAlgebra, require_validated
 from .subsets import Subset, require_nonempty
 
 
-def _intersect(A: FiniteMtlAlgebra, X: Subset, key: str, build) -> Subset:
+def _intersect(A: FiniteMtlAlgebra, X: Subset, key: str) -> Subset:
     """The intersection of the one-point masks cached under `key` over X."""
     require_validated(A)
     require_nonempty(X)
     if X.algebra is not A:
         raise ValueError("subset belongs to a different algebra")
-    masks = A._fixed_masks(key, build)
+    masks, rest = A._fixed_masks(key), X.bits
+    if not rest & rest - 1:  # a singleton's value is its mask
+        return Subset._of(A, masks[rest.bit_length() - 1])
     bits = (1 << A.n) - 1
-    rest = X.bits
     while rest:
         low = rest & -rest
         bits &= masks[low.bit_length() - 1]
         rest ^= low
-    return Subset(A, bits)
+    return Subset._of(A, bits)
 
 
 def impl_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    return _intersect(A, X, "impl_left", lambda: map(_mask, zip(*A.imp), range(A.n)))
+    return _intersect(A, X, "impl_left")
 
 
 def impl_right(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    return _intersect(A, X, "impl_right", lambda: map(_fixed_points, A.imp))
+    return _intersect(A, X, "impl_right")
 
 
 def impl_stab(A: FiniteMtlAlgebra, X: Subset) -> Subset:
@@ -53,15 +57,15 @@ def impl_stab(A: FiniteMtlAlgebra, X: Subset) -> Subset:
 
 
 def ortho(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    return _intersect(A, X, "ortho", lambda: [_mask(c, A.top) for c in zip(*A.join)])
+    return _intersect(A, X, "ortho")
 
 
 def mult_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    return _intersect(A, X, "mult_left", lambda: map(_mask, zip(*A.mul), range(A.n)))
+    return _intersect(A, X, "mult_left")
 
 
 def mult_right(A: FiniteMtlAlgebra, X: Subset) -> Subset:
-    return _intersect(A, X, "mult_right", lambda: map(_fixed_points, A.mul))
+    return _intersect(A, X, "mult_right")
 
 
 def mult_stab(A: FiniteMtlAlgebra, X: Subset) -> Subset:

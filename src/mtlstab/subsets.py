@@ -3,11 +3,15 @@
 Every stabilizer and filter operation consumes and produces these.  A subset
 is value-typed to the algebra it was built from; mixing subsets of different
 algebra objects is a programming error and is rejected at the boundary.
+
+`Subset(A, bits)` and the helpers below check that A is validated and the
+bits lie in its carrier.  The unchecked `Subset._of` is the library's alone,
+for values it derives from checked ones: operator results, `&`, `|`,
+filters and claim-scan domains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .core import EMPTY_SET_SYMBOL, FiniteMtlAlgebra, require_validated
@@ -21,15 +25,29 @@ class EmptySubsetError(SubsetError):
     """Raised where an operation is defined only for nonempty inputs."""
 
 
-@dataclass(frozen=True, eq=False)
 class Subset:
-    algebra: FiniteMtlAlgebra = field(repr=False)
-    bits: int
+    __slots__ = ("algebra", "bits")
 
-    def __post_init__(self):
-        require_validated(self.algebra)
-        if self.bits < 0 or self.bits >> self.algebra.n:
-            raise SubsetError(f"bit pattern {self.bits:#x} exceeds carrier size")
+    def __new__(cls, algebra: FiniteMtlAlgebra, bits: int) -> "Subset":
+        require_validated(algebra)
+        if bits < 0 or bits >> algebra.n:
+            raise SubsetError(f"bit pattern {bits:#x} exceeds carrier size")
+        return Subset._of(algebra, bits)
+
+    @staticmethod
+    def _of(algebra: FiniteMtlAlgebra, bits: int) -> "Subset":
+        self = _new(Subset)
+        _set_algebra(self, algebra)
+        _set_bits(self, bits)
+        return self
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Subset is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return Subset, (self.algebra, self.bits)
 
     def _check(self, other: "Subset") -> None:
         if self.algebra is not other.algebra:
@@ -54,11 +72,11 @@ class Subset:
 
     def __and__(self, other: "Subset") -> "Subset":
         self._check(other)
-        return Subset(self.algebra, self.bits & other.bits)
+        return Subset._of(self.algebra, self.bits & other.bits)
 
     def __or__(self, other: "Subset") -> "Subset":
         self._check(other)
-        return Subset(self.algebra, self.bits | other.bits)
+        return Subset._of(self.algebra, self.bits | other.bits)
 
     def issubset(self, other: "Subset") -> bool:
         self._check(other)
@@ -68,19 +86,24 @@ class Subset:
         return self.bits == 0
 
     def members(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.algebra.n) if self.bits >> x & 1)
-
-    def member_labels(self) -> tuple[str, ...]:
-        return tuple(self.algebra.labels[x] for x in self.members())
+        out, rest = [], self.bits
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        return tuple(out)
 
     def render(self) -> str:
         """Comma-joined labels in carrier order; the empty set renders as ∅."""
         if self.bits == 0:
             return EMPTY_SET_SYMBOL
-        return ",".join(self.member_labels())
+        return ",".join(self.algebra.labels[x] for x in self.members())
 
     def __repr__(self) -> str:
         return f"Subset({{{self.render()}}})"
+
+
+_new, _set_algebra, _set_bits = object.__new__, Subset.algebra.__set__, Subset.bits.__set__
 
 
 def empty(A: FiniteMtlAlgebra) -> Subset:

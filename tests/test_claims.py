@@ -11,9 +11,10 @@ from conftest import (antitone_all_pairs_oracle, every_subset_oracle,
                       full_scan_oracle, open3_scan_oracle, oracle_corpus,
                       relabel)
 from mtlstab import fixtures as fixtures_module
-from mtlstab import (Subset, from_labels, generated_filter, impl_left,
-                     impl_right, impl_stab, is_filter, mult_left, mult_right,
-                     mult_stab, ortho, singleton)
+from mtlstab import stabilizers
+from mtlstab import (Subset, all_filters, from_labels, generated_filter,
+                     impl_left, impl_right, impl_stab, is_filter, mult_left,
+                     mult_right, mult_stab, ortho, singleton)
 from mtlstab.claims import (
     REGISTRY,
     UnknownClaimError,
@@ -42,8 +43,8 @@ from mtlstab.claims import (
     verify_all,
     verify_claim,
 )
-from mtlstab.search import (FAMILIES, enumerate_all, gen_family, open2_premise,
-                            open3_scan)
+from mtlstab.search import (FAMILIES, enumerate_all, gen_family, open1_scan,
+                            open2_premise, open3_scan)
 
 
 def test_registry_size_and_ids():
@@ -297,6 +298,17 @@ def test_identity_claims_refute_a_corrupted_table(fixtures, claim_id, names, law
     outcome = verify_claim(B, claim_id)
     assert outcome.verdict == "refuted"
     assert outcome.witness == {v: B.labels[t] for v, t in zip(names, witness)}
+    # The row scans count the tuples a pointwise scan visits up to the witness.
+    assert verify_claim(a4, claim_id).scope == _tuples_scanned(a4, names, law)
+    assert outcome.scope == _tuples_scanned(B, names, law)
+
+
+def _tuples_scanned(A, names, law):
+    """The tuples a pointwise scan visits, up to and including the first
+    failure; e ranges over the idempotents only."""
+    first = A.idempotents() if names[0] == "e" else range(A.n)
+    tuples = list(product(first, *[range(A.n)] * (len(names) - 1)))
+    return next((i for i, t in enumerate(tuples, 1) if not law(A, *t)), len(tuples))
 
 
 # -- antitone claims: covering pairs against the all-pairs oracle -----------
@@ -545,6 +557,71 @@ def test_induced_claims_report_corrupted_masks_and_never_raise():
                             else "construct"] += 1
             assert open3_scan(A) == open3_scan_oracle(A)
     assert reasons["missing"] > 10 and reasons["construct"] > 100
+
+
+def test_empty_one_point_values_refute_and_never_raise():
+    # A wrong one-point mask can make impl_right of a filter, or
+    # impl_left({bot}), empty; P3.17-rs and P3.9-godel-center-r refute with
+    # a reason, open1_scan skips that filter, and nothing raises.
+    rng = random.Random(20)
+    algebras = ([fixtures_module.load_fixture(name) for name in ("a4", "g6", "m6")]
+                + [gen_family(f, n) for f in FAMILIES for n in range(2, 7)])
+    for A, op in product(algebras, STAB_OPS.values()):
+        op(A, singleton(A, 0))  # fills the mask cache
+    reasons = Counter()
+    for _ in range(1500):
+        A = rng.choice(algebras)
+        with _corrupted_masks(A, rng):
+            for cid in ("P3.17-rs", "P3.9-godel-center-r"):
+                witness = verify_claim(A, cid).witness or {}
+                reasons[cid] += "reason" in witness
+            skipped = [F for F in all_filters(A) if impl_right(A, F).is_empty()]
+            reasons["open1"] += bool(skipped)
+            found = {f.witness["filter"] for f in open1_scan(A)}
+            assert not found & {F.render() for F in skipped}
+    assert min(reasons.values()) > 10, reasons
+
+
+def test_empty_left_stabilizer_of_bot_refutes_p39():
+    A = fixtures_module.load_fixture("g6")
+    assert verify_claim(A, "P3.9-godel-center-r").verdict == "holds"
+    impl_left(A, singleton(A, A.bot))  # fills the mask cache
+    masks = list(A._mask_cache()["impl_left"])
+    masks[A.bot] = 0
+    A._mask_cache()["impl_left"] = tuple(masks)
+    outcome = verify_claim(A, "P3.9-godel-center-r")
+    assert (outcome.verdict, outcome.witness) == \
+        ("refuted", {"reason": "the left stabilizer of {bot} is empty"})
+
+
+# One verify of each 9-element family chain: calls of `_intersect` and
+# checked `Subset` constructions.
+HOT_PATH_LIMITS = {"lukasiewicz": (956, 130), "godel": (784, 191),
+                   "nilpotent_minimum": (622, 83)}
+
+
+def test_verify_hot_path_call_counts(monkeypatch):
+    # Extra operator calls or checked subsets coming back to the claim scans
+    # fail here, not only in the benchmark.
+    counts = Counter()
+    intersect, new = stabilizers._intersect, Subset.__new__
+
+    def counting_intersect(*args):
+        counts["intersect"] += 1
+        return intersect(*args)
+
+    def counting_new(cls, *args):
+        counts["checked"] += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(stabilizers, "_intersect", counting_intersect)
+    monkeypatch.setattr(Subset, "__new__", counting_new)
+    for family, (intersections, checked) in HOT_PATH_LIMITS.items():
+        A = gen_family(family, 9)
+        counts.clear()
+        verify_all(A)
+        assert counts["intersect"] <= intersections, (family, counts)
+        assert counts["checked"] <= checked, (family, counts)
 
 
 def test_p349_domain_finds_a_failing_pair_with_no_failing_member(diamond):

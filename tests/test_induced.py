@@ -100,6 +100,19 @@ def test_order_iso_roundtrips_everywhere(small_corpus):
                 assert A.imp[x][A.mul[x][u]] == u
 
 
+def test_order_iso_right_preserves_order(small_corpus):
+    # order_iso_right does not check order: residuation makes imp(x, -) and
+    # mul(x, -) monotone, so the map and its inverse preserve it.
+    for A in small_corpus.values():
+        def leq(a, b):
+            return A.meet[a][b] == a
+        for x in A.idempotents():
+            g = order_iso_right(A, x)
+            inverse = {u: A.mul[x][u] for u in g.values()}
+            for f in (g, inverse):
+                assert all(leq(f[a], f[b]) for a in f for b in f if leq(a, b))
+
+
 def test_order_iso_right_checks_the_inverse_image():
     # With a cleared from the cached mult_right({1}), imp(1, -) still maps
     # {0, b, 1} into impl_right({1}) = {0, a, b, 1} with both round trips,

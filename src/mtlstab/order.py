@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 
 from .core import FiniteMtlAlgebra, _downsets, _upsets, require_validated
-from .subsets import Subset, require_nonempty
+from .subsets import Subset, _require_element, _require_own, require_nonempty
 
 
 class NotAProperFilterError(ValueError):
@@ -54,13 +54,13 @@ def _least(A: FiniteMtlAlgebra, bits: int, table) -> int:
 
 def _is_closed(A: FiniteMtlAlgebra, S: Subset, table, cones) -> bool:
     """S is nonempty and the cone of its `_least` element."""
-    require_validated(A)
+    _require_own(A, S)
     return not S.is_empty() and cones[_least(A, S.bits, table)] == S.bits
 
 
 def _generated(A: FiniteMtlAlgebra, X: Subset, table, cones) -> Subset:
     """The least superset of X closed under `table` and cones."""
-    require_validated(A)
+    _require_own(A, X)
     require_nonempty(X)
     return Subset._of(A, cones[_least(A, X.bits, table)])
 
@@ -107,13 +107,13 @@ def is_lattice_ideal(A: FiniteMtlAlgebra, I: Subset) -> bool:
 def principal_ideal(A: FiniteMtlAlgebra, t: int) -> Subset:
     """The downset of t."""
     require_validated(A)
-    return Subset._of(A, A.downset_mask(t))
+    return Subset._of(A, A.downset_mask(_require_element(A, t)))
 
 
 def principal_filter(A: FiniteMtlAlgebra, t: int) -> Subset:
     """The upset of t."""
     require_validated(A)
-    return Subset._of(A, A.upset_mask(t))
+    return Subset._of(A, A.upset_mask(_require_element(A, t)))
 
 
 def generated_lattice_ideal(A: FiniteMtlAlgebra, H: Subset) -> Subset:
@@ -156,7 +156,7 @@ def subalgebra_violation(A: FiniteMtlAlgebra, S: Subset):
     (op-name, x, y, result) for the first non-closed pair in lexicographic
     scan order with operations tried as mul, imp, meet, join.
     """
-    require_validated(A)
+    _require_own(A, S)
     if A.bot not in S:
         return ("missing", A.bot)
     if A.top not in S:

@@ -23,16 +23,14 @@ a nonempty X of a validated A, and builds its value with the unchecked
 
 from __future__ import annotations
 
-from .core import FiniteMtlAlgebra, require_validated
-from .subsets import Subset, require_nonempty
+from .core import FiniteMtlAlgebra
+from .subsets import Subset, _require_own, require_nonempty
 
 
 def _intersect(A: FiniteMtlAlgebra, X: Subset, key: str) -> Subset:
     """The intersection of the one-point masks cached under `key` over X."""
-    require_validated(A)
+    _require_own(A, X)
     require_nonempty(X)
-    if X.algebra is not A:
-        raise ValueError("subset belongs to a different algebra")
     masks, rest = A._fixed_masks(key), X.bits
     if not rest & rest - 1:  # a singleton's value is its mask
         return Subset._of(A, masks[rest.bit_length() - 1])

@@ -114,18 +114,20 @@ def full(A: FiniteMtlAlgebra) -> Subset:
     return Subset(A, (1 << A.n) - 1)
 
 
-def singleton(A: FiniteMtlAlgebra, x: int) -> Subset:
+def _require_element(A: FiniteMtlAlgebra, x: int) -> int:
     if not 0 <= x < A.n:
         raise SubsetError(f"element {x} outside carrier")
-    return Subset(A, 1 << x)
+    return x
+
+
+def singleton(A: FiniteMtlAlgebra, x: int) -> Subset:
+    return Subset(A, 1 << _require_element(A, x))
 
 
 def from_elements(A: FiniteMtlAlgebra, xs: Iterable[int]) -> Subset:
     bits = 0
     for x in xs:
-        if not 0 <= x < A.n:
-            raise SubsetError(f"element {x} outside carrier")
-        bits |= 1 << x
+        bits |= 1 << _require_element(A, x)
     return Subset(A, bits)
 
 
@@ -133,6 +135,13 @@ def from_labels(A: FiniteMtlAlgebra, labels: Iterable[str] | str) -> Subset:
     if isinstance(labels, str):
         labels = [tok for tok in labels.split(",") if tok]
     return from_elements(A, (A.index(lbl) for lbl in labels))
+
+
+def _require_own(A: FiniteMtlAlgebra, X: Subset) -> None:
+    """A is validated and X is one of its subsets."""
+    require_validated(A)
+    if X.algebra is not A:
+        raise ValueError("subset belongs to a different algebra")
 
 
 def require_nonempty(X: Subset) -> Subset:

@@ -43,10 +43,11 @@ from mtlstab.cli import cli_main
 from mtlstab.fixtures import fixture_text
 from mtlstab.induced import check_mtl_iso, order_iso_right
 from mtlstab.search import (
+    _chain,
+    _tables_on_lattice,
     canonical_form,
     enumerate_all,
     enumerate_chains,
-    enumerate_chains_via_residuum,
     gen_family,
     open1_scan,
     open2_scan,
@@ -274,10 +275,9 @@ def test_c7_enumeration():
     start = time.monotonic()
     counts = {n: len(enumerate_chains(n)) for n in (2, 3, 4)}
     ok = counts == {2: 1, 3: 2, 4: 6}
-    for n in (2, 3, 4):
-        via_imp = enumerate_chains_via_residuum(n)
-        direct = sorted((A.mul, A.imp) for A in enumerate_chains(n))
-        ok &= via_imp == direct
+    for n in range(2, 9):
+        direct = sorted(_tables_on_lattice(n, _chain(n)))
+        ok &= [(A.mul, A.imp) for A in enumerate_chains(n)] == direct
     algs4 = enumerate_all(4)
     ok &= all(A.validated for A in algs4)
     ok &= all(A.validated for A in enumerate_chains(5))

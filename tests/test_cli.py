@@ -173,6 +173,15 @@ def test_enumerate_writes_corpus(tmp_path):
     assert all(validate(A).valid for A in algs)
 
 
+def test_chain_enumeration_cli_sizes(capsys):
+    assert cli_main(["enumerate", "--chains", "--size", "8", "--limit", "2",
+                     "--format", "machine"]) == 0
+    assert "enum\tcount\t2\n" in capsys.readouterr().out
+    assert cli_main(["enumerate", "--chains", "--size", "9"]) == 2
+    assert capsys.readouterr().err == \
+        "error: chain enumeration supports sizes 2..8\n"
+
+
 def test_enumerate_limit_below_one_exits_2(capsys):
     for mode in ([], ["--chains"]):
         for limit in ("0", "-1"):

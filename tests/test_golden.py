@@ -14,6 +14,7 @@ import io
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,36 @@ CASES = _cases()
 def test_machine_report_matches_golden(filename, case, tmp_path):
     expected = (GOLDEN / filename).read_text(encoding="utf-8")
     assert _render(case, tmp_path) == expected
+
+
+# SHA-256 of the `enumerate --chains --size k --out F --format machine`
+# report and of the corpus file F, recorded while chains still came from the
+# lattice search on the n-chain.  The chain engine may change; these bytes
+# may not.
+CHAIN_DIGESTS = {
+    2: ("70c3932d2668391ff09c342132dcf0d1bd97c94e9fdb83786dcaa09008d6f635",
+        "b7aaa6bdee527f5f93b6b1d04784371e3e0776b8529a1320bbcab3fa8e00aafd"),
+    3: ("1860139d378d6e8e87263be4cc8ee82fb41bb264df3a91eee0ea0c2669e7f640",
+        "da567b3c139da500f4db2741cfd8c878286c6f7d45d8aaffa1c885c7eda41a89"),
+    4: ("b6b2cc8e7c1524b6653557945c79e790c3125ae55086b9f2a2f59b3e65dc3a1d",
+        "144cbf063c95b6e58c74e18e4bd4f8ea6c47da5c3f3d53666041ca817534a6ff"),
+    5: ("a2aa5d6129874fadd781283abd8105d807f718d1f6808c706babf4c63afa1455",
+        "1862fa950f2a3a6a83292822d7b5ff87b1c1a825e8a5be9c08d5e3b102201c66"),
+    6: ("0083710bed1a8daffbd0c71f4eeb46f7339c04b61243047bbee26f555b21c4e0",
+        "ca42b7e2f5cf79cbd462414f15a511f98aa8e9261f67be6acd08e0aa01877856"),
+    7: ("857b27c56a3b08900a2ca1cae104a71b435a873cca52c1258f22cdf0e32a362f",
+        "1d8a2b895b910fe527c5292215d9607a74aeb396ff7917350d2348092a13122a"),
+}
+
+
+@pytest.mark.parametrize("size", sorted(CHAIN_DIGESTS))
+def test_chain_enumeration_bytes_are_pinned(size, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names the --out path
+    report = _machine_stdout(["enumerate", "--chains", "--size", str(size),
+                              "--out", "F"])
+    got = (sha256(report.encode("utf-8")).hexdigest(),
+           sha256(Path("F").read_bytes()).hexdigest())
+    assert got == CHAIN_DIGESTS[size]
 
 
 def _record() -> None:

@@ -6,6 +6,7 @@ from mtlstab import (
     NotALatticeIdealError,
     NotAProperFilterError,
     Subset,
+    SubsetError,
     all_filters,
     all_nonempty_subsets,
     from_labels,
@@ -125,6 +126,27 @@ def test_principal_ideal_and_filter(fixtures, small_corpus):
         for t in range(A.n):
             assert principal_ideal(A, t) == generated_lattice_ideal(
                 A, singleton(A, t))
+
+
+def test_principal_cones_reject_elements_outside_the_carrier(fixtures):
+    a4 = fixtures["a4"]
+    for cone in (principal_filter, principal_ideal):
+        for t in (-1, -a4.n, a4.n, a4.n + 5):
+            with pytest.raises(SubsetError, match="outside carrier"):
+                cone(a4, t)
+
+
+def test_order_rejects_a_subset_of_another_algebra(fixtures):
+    # The same error the stabilizer operators raise, before any table read.
+    a4, b4 = fixtures["a4"], fixtures["b4"]
+    foreign = singleton(b4, b4.top)
+    for check in (is_filter, is_proper_filter, generated_filter,
+                  is_prime_filter, is_lattice_ideal, generated_lattice_ideal,
+                  is_prime_lattice_ideal, subalgebra_violation,
+                  is_subalgebra):
+        with pytest.raises(ValueError, match="subset belongs to a different"
+                           " algebra"):
+            check(a4, foreign)
 
 
 def test_generated_lattice_ideal_examples(fixtures):

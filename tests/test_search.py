@@ -12,7 +12,7 @@ from conftest import (ORACLE_SOURCES, canonical_form_oracle,
 from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
                      impl_right, singleton)
 from mtlstab import _pool, induced, search
-from mtlstab.classify import is_chain, is_godel, is_imtl, is_mv
+from mtlstab.classify import is_bl, is_chain, is_godel, is_imtl, is_mv
 from mtlstab.core import (LatticeMismatchError, NotALatticeError, construct,
                           validate)
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
@@ -23,10 +23,11 @@ from mtlstab.search import (
     SearchFinding,
     UnknownFamilyError,
     _bounded_lattices,
+    _chain,
+    _tables_on_lattice,
     canonical_form,
     enumerate_all,
     enumerate_chains,
-    enumerate_chains_via_residuum,
     gen_family,
     open1_scan,
     open2_premise,
@@ -34,7 +35,7 @@ from mtlstab.search import (
     open3_scan,
 )
 
-EXPECTED_CHAIN_COUNTS = {2: 1, 3: 2, 4: 6, 5: 22, 6: 94, 7: 451}
+EXPECTED_CHAIN_COUNTS = {2: 1, 3: 2, 4: 6, 5: 22, 6: 94, 7: 451, 8: 2386}
 
 
 def test_family_classes():
@@ -95,35 +96,45 @@ def test_chain_enumeration_against_independent_bruteforce():
 
 
 def test_dual_path_agreement():
-    for n in (2, 3, 4, 5, 6):
-        via_imp = enumerate_chains_via_residuum(n)
-        direct = sorted((A.mul, A.imp) for A in enumerate_chains(n))
-        assert via_imp == direct
+    # The Rees coextension against the lattice search on the n-chain.
+    for n in range(2, 9):
+        direct = sorted(_tables_on_lattice(n, _chain(n)))
+        assert [(A.mul, A.imp) for A in enumerate_chains(n)] == direct
 
 
-def test_residuum_route_stops_at_six():
-    start = time.monotonic()
-    assert len(enumerate_chains_via_residuum(6)) == EXPECTED_CHAIN_COUNTS[6]
-    assert time.monotonic() - start < 5.0
-    with pytest.raises(SizeRangeError):
-        enumerate_chains_via_residuum(7)
+def test_chain_class_counts():
+    # A third chain check, with no search: BL-chains are the ordinal sums
+    # of Lukasiewicz chains over the compositions of n - 1, and the MV- and
+    # Gödel chains of each size are the family chains.
+    imtl = {2: 1, 3: 1, 4: 2, 5: 3, 6: 7, 7: 12, 8: 31}
+    for n, expect in imtl.items():
+        chains = enumerate_chains(n)
+        assert sum(map(is_bl, chains)) == 2 ** (n - 2)
+        assert sum(map(is_mv, chains)) == sum(map(is_godel, chains)) == 1
+        assert sum(map(is_imtl, chains)) == expect
 
 
 def test_enumeration_revalidation_catches_a_broken_table(monkeypatch):
-    # Every table that _tables_on_lattice returns is validated again.  One
-    # table per lattice, with mul(a, b) = mul(b, a) raised to top and imp
+    # Every emitted table is validated again.  The last coextension level
+    # yields a monotone table with a*b = b*b = a, so (a*b)*b = a but
+    # a*(b*b) = 0.  On the lattices, mul(a, b) = mul(b, a) raised to top, imp
     # left as it was, breaks associativity at (a, a, b).
-    real = search._tables_on_lattice
+    real_coextensions, real_tables = search._coextensions, search._tables_on_lattice
+    not_associative = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 3))
 
-    def broken(n, lattice):
-        mul, imp = real(n, lattice)[0]
+    def broken_coextensions(mul):
+        return [not_associative] if len(mul) == 3 else real_coextensions(mul)
+
+    def broken_tables(n, lattice):
+        mul, imp = real_tables(n, lattice)[0]
         mul = [list(row) for row in mul]
         mul[1][2] = mul[2][1] = n - 1
         return [(mul, imp)]
 
-    monkeypatch.setattr(search, "_tables_on_lattice", broken)
+    monkeypatch.setattr(search, "_coextensions", broken_coextensions)
+    monkeypatch.setattr(search, "_tables_on_lattice", broken_tables)
     with pytest.raises(AssertionError, match=r"^enumerated chain failed"
-                       r" validation: \('monoid\.assoc', \(1, 1, 2\)\)"):
+                       r" validation: \('monoid\.assoc', \(1, 2, 2\)\)"):
         enumerate_chains(4)
     with pytest.raises(AssertionError, match=r"^enumerated algebra failed"
                        r" validation: \('monoid\.assoc', \(1, 1, 2\)\)"):
@@ -224,7 +235,7 @@ def test_full_enumeration_against_naive_table_bruteforce(n):
 
 def test_enumeration_size_limits():
     with pytest.raises(SizeRangeError):
-        enumerate_chains(8)
+        enumerate_chains(9)
     with pytest.raises(SizeRangeError):
         enumerate_all(6)
     assert len(enumerate_all(2, allow_large=False)) == 1

@@ -47,8 +47,8 @@ PUBLIC_FUNCTIONS = {
     "induced": ["check_mtl_iso", "left_mult_algebra", "mv_left_iso",
                 "order_iso_right", "right_mult_algebra"],
     "search": ["canonical_form", "enumerate_all", "enumerate_chains",
-               "enumerate_chains_via_residuum", "gen_family", "open1_scan",
-               "open2_premise", "open2_scan", "open3_scan"],
+               "gen_family", "open1_scan", "open2_premise", "open2_scan",
+               "open3_scan"],
 }
 
 

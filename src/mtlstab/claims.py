@@ -524,19 +524,8 @@ def _induced_claim(builder):
             if induced.trivial:
                 continue
             checked += 1
-            if induced.escape:
-                op, a, b, r = induced.escape
-                return False, {
-                    "x": A.labels[x],
-                    "violation": f"{op}({A.labels[a]},{A.labels[b]})"
-                                 f"={A.labels[r]} leaves the carrier",
-                }, checked
-            if induced.refusal:
-                return False, {"x": A.labels[x], "reason": induced.refusal}, checked
-            if not induced.report.valid:
-                axiom, witness = induced.report.violations[0]
-                return False, {"x": A.labels[x], "axiom": axiom,
-                               "witness": str(witness)}, checked
+            if induced.failure:
+                return False, {"x": A.labels[x], **induced.failure}, checked
         return True, None, checked
     return check
 

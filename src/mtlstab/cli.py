@@ -25,6 +25,7 @@ from .classify import classify
 from .core import AlgebraError, FiniteMtlAlgebra, validate
 from .report import Report, emit_report
 from .search import (
+    FAMILIES,
     SizeRangeError,
     UnknownFamilyError,
     canonical_form,
@@ -253,8 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("gen", help="generate a standard chain family member")
-    p.add_argument("--family", required=True,
-                   choices=("lukasiewicz", "godel", "nilpotent_minimum"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--out", default=None)
     common(p)

@@ -5,8 +5,9 @@ For an idempotent x the left stabilizer carrier gets bot = x and top = 1
 with all operations restricted; the right stabilizer carrier gets bot = 0,
 top = x, restricted mul/meet/join and the implication
 ``a ~> b = mul(x, imp(a, b))``.  One-element carriers are reported as
-trivial rather than validated; closure failures, tables that `construct`
-refuses and axiom failures are reported on the result, not raised.
+trivial rather than validated.  Every other failure (an entry that leaves
+the carrier, a missing constant, tables that `construct` refuses, a failed
+axiom) comes back from `_build` as the T4.7/T4.8 witness fields, not raised.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .core import (
     AlgebraError,
     FiniteMtlAlgebra,
     InternalConsistencyError,
-    ValidationReport,
     construct,
     require_validated,
     validate,
@@ -43,15 +43,16 @@ def _require_idempotent(A: FiniteMtlAlgebra, x: int) -> None:
 @dataclass
 class InducedAlgebra:
     carrier: Subset
-    algebra: FiniteMtlAlgebra | None
-    trivial: bool = False
-    escape: tuple[str, int, int, int] | None = None   # (op, a, b, result)
-    refusal: str | None = None        # why no algebra was built on a closed carrier
-    report: ValidationReport | None = None
+    algebra: FiniteMtlAlgebra | None = None   # set when the restricted tables validate
+    failure: dict[str, str] | None = None     # else the T4.7/T4.8 witness fields but x
+
+    @property
+    def trivial(self) -> bool:
+        return _trivial(self.carrier)
 
     @property
     def ok(self) -> bool:
-        return self.report is not None and self.report.valid
+        return self.algebra is not None
 
 
 def _trivial(carrier: Subset) -> bool:
@@ -69,32 +70,34 @@ def _restrict(pos: dict[int, int], ops) -> list | None:
 
 def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
            imp_table) -> InducedAlgebra:
-    members = carrier.members()
-    result = InducedAlgebra(carrier=carrier, algebra=None)
     if _trivial(carrier):
-        result.trivial = True
-        return result
+        return InducedAlgebra(carrier)
+    members = carrier.members()
     pos = {e: i for i, e in enumerate(members)}
     ops = (("mul", A.mul), ("imp", imp_table), ("meet", A.meet), ("join", A.join))
     tables = _restrict(pos, ops)
     if tables is None:
-        result.escape = _first_escape(carrier, ops)
-        return result
+        op, a, b, r = _first_escape(carrier, ops)
+        lbl = A.labels
+        return InducedAlgebra(carrier, failure={
+            "violation": f"{op}({lbl[a]},{lbl[b]})={lbl[r]} leaves the carrier"})
     missing = [A.labels[e] for e in (bot_elt, top_elt) if e not in pos]
     if missing:
-        result.refusal = f"{missing[0]} is not in the carrier"
-        return result
+        return InducedAlgebra(carrier, failure={
+            "reason": f"{missing[0]} is not in the carrier"})
     try:
-        result.algebra = construct(
+        algebra = construct(
             len(members), *tables, bot=pos[bot_elt], top=pos[top_elt],
             labels=tuple(A.labels[e] for e in members),
             name=f"{A.name or 'algebra'}|{A.labels[bot_elt]}..{A.labels[top_elt]}",
         )
     except AlgebraError as exc:
-        result.refusal = str(exc)
-        return result
-    result.report = validate(result.algebra)
-    return result
+        return InducedAlgebra(carrier, failure={"reason": str(exc)})
+    report = validate(algebra)
+    if not report.valid:
+        axiom, witness = report.violations[0]
+        return InducedAlgebra(carrier, failure={"axiom": axiom, "witness": str(witness)})
+    return InducedAlgebra(carrier, algebra)
 
 
 def left_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
@@ -178,9 +181,16 @@ def _order_profile(A: FiniteMtlAlgebra, x: int) -> tuple[int, int, bool]:
 
 def check_mtl_iso(A: FiniteMtlAlgebra, B: FiniteMtlAlgebra) -> dict[int, int] | None:
     """An isomorphism A -> B preserving all four tables and the constants,
-    or None.  Backtracking over order-profile-compatible bijections.  Only
-    mul and imp are compared: x <= y exactly when imp(x, y) is top, so a
-    map that fixes top and preserves imp preserves meet and join too."""
+    or None.  Backtracking over order-profile-compatible bijections that
+    send bot to bot and top to top; imp is the one table compared.
+
+    A bijection phi that fixes top and preserves imp preserves the rest:
+    the order, since x <= y exactly when imp(x, y) = top, and with it meet,
+    join and bot; and mul, since mul(x, y) is the least z with
+    x <= imp(y, z).  Once the sorted profiles agree, bot and top have equal
+    profiles on both sides: bot is the only element whose downset has one
+    member, and top the only one whose upset has one.
+    """
     require_validated(A)
     require_validated(B)
     if A.n != B.n:
@@ -190,30 +200,27 @@ def check_mtl_iso(A: FiniteMtlAlgebra, B: FiniteMtlAlgebra) -> dict[int, int] | 
     if sorted(pa) != sorted(pb):
         return None
 
+    ia, ib = A.imp, B.imp
     mapping: dict[int, int] = {A.bot: B.bot, A.top: B.top}
-    if pa[A.bot] != pb[B.bot] or pa[A.top] != pb[B.top]:
-        return None
     used = {B.bot, B.top}
     rest = [x for x in range(A.n) if x not in (A.bot, A.top)]
 
     def consistent(x: int, y: int) -> bool:
-        for name in ("mul", "imp"):
-            ta, tb = getattr(A, name), getattr(B, name)
-            for u, v in mapping.items():
-                for (p, q), (r, s) in (((x, u), (y, v)), ((u, x), (v, y))):
-                    img = mapping.get(ta[p][q])
-                    if img is not None and img != tb[r][s]:
-                        return False
+        for u, v in mapping.items():
+            for p, q, r, s in ((x, u, y, v), (u, x, v, y)):
+                img = mapping.get(ia[p][q])
+                if img is not None and img != ib[r][s]:
+                    return False
         return True
 
     def backtrack(i: int) -> bool:
         if i == len(rest):
-            return True
+            # Full check: the incremental test only sees pairs inside the map.
+            return all(mapping[ia[x][y]] == ib[mapping[x]][mapping[y]]
+                       for x in range(A.n) for y in range(A.n))
         x = rest[i]
         for y in range(B.n):
-            if y in used or pb[y] != pa[x]:
-                continue
-            if not consistent(x, y):
+            if y in used or pb[y] != pa[x] or not consistent(x, y):
                 continue
             mapping[x] = y
             used.add(y)
@@ -223,13 +230,4 @@ def check_mtl_iso(A: FiniteMtlAlgebra, B: FiniteMtlAlgebra) -> dict[int, int] | 
             used.discard(y)
         return False
 
-    if not backtrack(0):
-        return None
-    # Full re-check: the incremental test only sees pairs inside the map.
-    for name in ("mul", "imp"):
-        ta, tb = getattr(A, name), getattr(B, name)
-        for x in range(A.n):
-            for y in range(A.n):
-                if mapping[ta[x][y]] != tb[mapping[x]][mapping[y]]:
-                    return None
-    return dict(sorted(mapping.items()))
+    return dict(sorted(mapping.items())) if backtrack(0) else None

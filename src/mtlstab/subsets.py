@@ -141,7 +141,7 @@ def _require_own(A: FiniteMtlAlgebra, X: Subset) -> None:
     """A is validated and X is one of its subsets."""
     require_validated(A)
     if X.algebra is not A:
-        raise ValueError("subset belongs to a different algebra")
+        raise SubsetError("subsets belong to different algebras")
 
 
 def require_nonempty(X: Subset) -> Subset:

@@ -559,6 +559,44 @@ def test_induced_claims_report_corrupted_masks_and_never_raise():
     assert reasons["missing"] > 10 and reasons["construct"] > 100
 
 
+def _witness_kind(witness):
+    if "violation" in witness:
+        return "escape"
+    if "axiom" in witness:
+        return "axiom"
+    return "missing" if "not in the carrier" in witness["reason"] else "construct"
+
+
+def test_induced_claim_witnesses_of_each_kind_on_corrupted_masks():
+    # The corpus and seed of the test above: each of the four ways a T4.7/
+    # T4.8 build fails occurs, and the first witness of each kind is pinned.
+    rng = random.Random(19)
+    algebras = ([fixtures_module.load_fixture(name) for name in ("a4", "g6", "i6", "m6")]
+                + [gen_family(f, n) for f in FAMILIES for n in range(2, 7)])
+    for A, op in product(algebras, STAB_OPS.values()):
+        op(A, singleton(A, 0))  # fills the mask cache
+    kinds, first = Counter(), {}
+    for _ in range(1200):
+        A = rng.choice(algebras)
+        with _corrupted_masks(A, rng):
+            for cid in ("T4.7-left-alg", "T4.8-right-alg"):
+                witness = verify_claim(A, cid).witness
+                if witness:
+                    kinds[_witness_kind(witness)] += 1
+                    first.setdefault(_witness_kind(witness), (A.name, cid, witness))
+    assert kinds == {"escape": 318, "missing": 26, "construct": 261, "axiom": 33}
+    assert first == {
+        "construct": ("m6", "T4.7-left-alg", {
+            "x": "1", "reason": "bad bot/top pair (1, 1) for carrier size 2"}),
+        "escape": ("m6", "T4.7-left-alg", {
+            "x": "0", "violation": "imp(a,0)=d leaves the carrier"}),
+        "missing": ("godel5", "T4.7-left-alg", {
+            "x": "b", "reason": "b is not in the carrier"}),
+        "axiom": ("godel5", "T4.7-left-alg", {
+            "x": "c", "axiom": "lattice.bounds", "witness": "(0,)"}),
+    }
+
+
 def test_empty_one_point_values_refute_and_never_raise():
     # A wrong one-point mask can make impl_right of a filter, or
     # impl_left({bot}), empty; P3.17-rs and P3.9-godel-center-r refute with

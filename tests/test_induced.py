@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import product_algebra, relabel
 from mtlstab import InternalConsistencyError, from_labels, mult_right, singleton
 from mtlstab.claims import verify_claim
 from mtlstab.induced import (
+    InducedAlgebra,
     NotIdempotentError,
     NotMvError,
     check_mtl_iso,
@@ -36,11 +38,16 @@ def test_right_algebra_on_a4(fixtures):
 
 
 def test_trivial_carriers_are_reported_not_validated(fixtures):
+    # A result is its carrier and either the algebra or one failure.
+    assert [f.name for f in dataclasses.fields(InducedAlgebra)] == \
+        ["carrier", "algebra", "failure"]
     a4 = fixtures["a4"]
     top_side = left_mult_algebra(a4, a4.top)
     assert top_side.trivial and top_side.algebra is None
     bot_side = right_mult_algebra(a4, a4.bot)
     assert bot_side.trivial and bot_side.algebra is None
+    assert top_side.failure is None and bot_side.failure is None
+    assert not top_side.ok and not bot_side.ok
 
 
 def test_whole_algebra_cases(fixtures):
@@ -166,7 +173,8 @@ def test_check_mtl_iso(fixtures, diamond):
 
 
 def test_check_mtl_iso_preserves_the_lattice(fixtures):
-    # Only mul and imp are compared: the map must still carry meet and join.
+    # Only imp is compared: the map must still carry mul, meet, join and
+    # the constants.
     rng = random.Random(5)
     corpus = [*fixtures.values(), *(gen_family(f, 9) for f in FAMILIES),
               product_algebra(gen_family("godel", 3), gen_family("lukasiewicz", 4))]
@@ -176,7 +184,8 @@ def test_check_mtl_iso_preserves_the_lattice(fixtures):
         B = relabel(A, order)
         iso = check_mtl_iso(A, B)
         assert iso is not None, A.name
-        for name in ("meet", "join"):
+        assert (iso[A.bot], iso[A.top]) == (B.bot, B.top), A.name
+        for name in ("mul", "meet", "join"):
             ta, tb = getattr(A, name), getattr(B, name)
             assert all(iso[ta[x][y]] == tb[iso[x]][iso[y]]
                        for x in range(A.n) for y in range(A.n)), (A.name, name)

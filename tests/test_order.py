@@ -144,8 +144,8 @@ def test_order_rejects_a_subset_of_another_algebra(fixtures):
                   is_prime_filter, is_lattice_ideal, generated_lattice_ideal,
                   is_prime_lattice_ideal, subalgebra_violation,
                   is_subalgebra):
-        with pytest.raises(ValueError, match="subset belongs to a different"
-                           " algebra"):
+        with pytest.raises(SubsetError,
+                           match="^subsets belong to different algebras$"):
             check(a4, foreign)
 
 

@@ -63,7 +63,7 @@ def test_operators_reject_bad_input(fixtures):
     for op in ALL_OPS:
         with pytest.raises(EmptySubsetError):
             op(a4, Subset(a4, 0))
-        with pytest.raises(ValueError, match="different algebra"):
+        with pytest.raises(SubsetError, match="^subsets belong to different algebras$"):
             op(a4, singleton(b4, 1))
         with pytest.raises(NotValidatedError):
             op(raw, Subset._of(raw, 1))

@@ -61,19 +61,23 @@ class _Lines:
         return row
 
 
-def _parse_one(lines: _Lines) -> FiniteMtlAlgebra:
+def _header(lines: _Lines, key: str, arg: str) -> tuple[str, int, int]:
+    """The argument of the next line, which must read `<key> <arg>`, as
+    (token, line, col)."""
     lineno, tokens = lines.take()
-    if tokens[0][0] != "algebra" or len(tokens) != 2:
-        raise ParseError("expected `algebra <name>`", lineno, tokens[0][1])
-    name = tokens[1][0]
+    if tokens[0][0] != key or len(tokens) != 2:
+        raise ParseError(f"expected `{key} <{arg}>`", lineno, tokens[0][1])
+    tok, col = tokens[1]
+    return tok, lineno, col
 
-    lineno, tokens = lines.take()
-    if tokens[0][0] != "size" or len(tokens) != 2:
-        raise ParseError("expected `size <n>`", lineno, tokens[0][1])
+
+def _parse_one(lines: _Lines) -> FiniteMtlAlgebra:
+    name, _, _ = _header(lines, "algebra", "name")
+    size, lineno, col = _header(lines, "size", "n")
     try:
-        n = int(tokens[1][0])
+        n = int(size)
     except ValueError:
-        raise ParseError(f"size {tokens[1][0]!r} is not an integer", lineno, tokens[1][1])
+        raise ParseError(f"size {size!r} is not an integer", lineno, col)
 
     lineno, tokens = lines.take()
     if tokens[0][0] != "labels":
@@ -90,12 +94,7 @@ def _parse_one(lines: _Lines) -> FiniteMtlAlgebra:
             raise ParseError(f"unknown label {tok!r}", lineno, col)
         return index[tok]
 
-    constants = {}
-    for key in ("bot", "top"):
-        lineno, tokens = lines.take()
-        if tokens[0][0] != key or len(tokens) != 2:
-            raise ParseError(f"expected `{key} <label>`", lineno, tokens[0][1])
-        constants[key] = element(tokens[1][0], lineno, tokens[1][1])
+    bot, top = (element(*_header(lines, key, "label")) for key in ("bot", "top"))
 
     blocks: dict[str, list[list[int]]] = {}
     while True:
@@ -135,8 +134,8 @@ def _parse_one(lines: _Lines) -> FiniteMtlAlgebra:
         blocks["imp"],
         blocks.get("meet"),
         blocks.get("join"),
-        bot=constants["bot"],
-        top=constants["top"],
+        bot=bot,
+        top=top,
         labels=labels,
         name=name,
     )

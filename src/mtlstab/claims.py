@@ -89,7 +89,7 @@ class ClaimOutcome:
 class Claim:
     id: str
     statement: str
-    check: Callable[[FiniteMtlAlgebra], tuple[bool, dict | None, int]]
+    check: Callable[[FiniteMtlAlgebra], tuple[bool, dict | None, int]] | None
     applies: Callable[[FiniteMtlAlgebra], bool] | None = None
     expected: str = "holds"           # holds | refutable | not-evaluable
     documented: Callable[[FiniteMtlAlgebra], dict | None] | None = None
@@ -544,10 +544,6 @@ def _iso_claim(iso):
     return check
 
 
-def _not_evaluable(A):
-    return True, None, 0
-
-
 # ---------------------------------------------------------------------------
 # The registry.
 
@@ -684,7 +680,7 @@ def _build_registry() -> dict[str, Claim]:
                         applies=is_bl))
     claims.append(Claim("P4.3.11",
                         "membership in a center operator that is undefined"
-                        " for proper subsets", _not_evaluable,
+                        " for proper subsets", None,
                         expected="not-evaluable"))
     claims.append(Claim("P4.6-bl-ideal",
                         "on BL algebras right mul stabilizers are lattice"

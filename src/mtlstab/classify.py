@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import FiniteMtlAlgebra, require_validated
+from .core import FiniteMtlAlgebra, _downsets, _upsets, require_validated
 from .order import is_prime_filter, is_prime_lattice_ideal, is_proper_filter
 from .report import Report
 from .stabilizers import impl_left, impl_stab, mult_left, mult_right, ortho
@@ -82,7 +82,7 @@ def integral_by_stabilizers(A: FiniteMtlAlgebra) -> bool:
 def godel_by_left_stabilizers(A: FiniteMtlAlgebra) -> bool:
     """For every x the left mul stabilizer of {x} is the upset of x."""
     return all(
-        mult_left(A, singleton(A, x)).bits == A.upset_mask(x)
+        mult_left(A, singleton(A, x)).bits == _upsets(A)[x]
         for x in range(A.n)
     )
 
@@ -90,7 +90,7 @@ def godel_by_left_stabilizers(A: FiniteMtlAlgebra) -> bool:
 def godel_by_right_stabilizers(A: FiniteMtlAlgebra) -> bool:
     """For every x the right mul stabilizer of {x} is the downset of x."""
     return all(
-        mult_right(A, singleton(A, x)).bits == A.downset_mask(x)
+        mult_right(A, singleton(A, x)).bits == _downsets(A)[x]
         for x in range(A.n)
     )
 

@@ -48,6 +48,10 @@ class NotValidatedError(AlgebraError):
     """An operation that needs a validated algebra got an unvalidated one."""
 
 
+class SubsetError(ValueError):
+    """A subset or element does not belong to the algebra it is used with."""
+
+
 class InternalConsistencyError(RuntimeError):
     """A property that must hold on every validated algebra failed anyway."""
 
@@ -93,12 +97,6 @@ class FiniteMtlAlgebra:
         except KeyError:
             masks = self._mask_cache()[key] = tuple(_MASKS[key](self))
             return masks
-
-    def upset_mask(self, x: int) -> int:
-        return _upsets(self)[x]
-
-    def downset_mask(self, x: int) -> int:
-        return _downsets(self)[x]
 
 
 def _upsets(A: FiniteMtlAlgebra) -> tuple[int, ...]:
@@ -369,21 +367,29 @@ def require_validated(A: FiniteMtlAlgebra) -> None:
         raise NotValidatedError("operation requires a validated algebra")
 
 
+def _require_element(A: FiniteMtlAlgebra, x: int) -> int:
+    """x, when it is an element of A's carrier; -1 would index top."""
+    if not 0 <= x < A.n:
+        raise SubsetError(f"element {x} outside carrier")
+    return x
+
+
 def leq(A: FiniteMtlAlgebra, x: int, y: int) -> bool:
     """Lattice order: meet(x, y) == x (equivalently imp(x, y) == top)."""
     require_validated(A)
-    return A.meet[x][y] == x
+    return A.meet[_require_element(A, x)][_require_element(A, y)] == x
 
 
 def neg(A: FiniteMtlAlgebra, x: int) -> int:
     """Residual negation imp(x, bot)."""
     require_validated(A)
-    return A.imp[x][A.bot]
+    return A.imp[_require_element(A, x)][A.bot]
 
 
 def power(A: FiniteMtlAlgebra, x: int, k: int) -> int:
     """k-fold mul product of x; the empty product is top."""
     require_validated(A)
+    _require_element(A, x)
     if k < 0:
         raise ValueError("exponent must be a natural number")
     acc = A.top

@@ -18,6 +18,9 @@ from .core import (
     AlgebraError,
     FiniteMtlAlgebra,
     InternalConsistencyError,
+    _downsets,
+    _require_element,
+    _upsets,
     construct,
     require_validated,
     validate,
@@ -36,7 +39,7 @@ class NotMvError(ValueError):
 
 
 def _require_idempotent(A: FiniteMtlAlgebra, x: int) -> None:
-    if A.mul[x][x] != x:
+    if A.mul[_require_element(A, x)][x] != x:
         raise NotIdempotentError(f"element {A.labels[x]} is not idempotent")
 
 
@@ -175,7 +178,7 @@ def mv_left_iso(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:
 
 
 def _order_profile(A: FiniteMtlAlgebra, x: int) -> tuple[int, int, bool]:
-    return (A.downset_mask(x).bit_count(), A.upset_mask(x).bit_count(),
+    return (_downsets(A)[x].bit_count(), _upsets(A)[x].bit_count(),
             A.mul[x][x] == x)
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import FiniteMtlAlgebra, _downsets, _upsets, require_validated
-from .subsets import Subset, _require_element, _require_own, require_nonempty
+from .core import (FiniteMtlAlgebra, _downsets, _require_element, _upsets,
+                   require_validated)
+from .subsets import Subset, _require_own, require_nonempty
 
 
 class NotAProperFilterError(ValueError):
@@ -107,13 +108,13 @@ def is_lattice_ideal(A: FiniteMtlAlgebra, I: Subset) -> bool:
 def principal_ideal(A: FiniteMtlAlgebra, t: int) -> Subset:
     """The downset of t."""
     require_validated(A)
-    return Subset._of(A, A.downset_mask(_require_element(A, t)))
+    return Subset._of(A, _downsets(A)[_require_element(A, t)])
 
 
 def principal_filter(A: FiniteMtlAlgebra, t: int) -> Subset:
     """The upset of t."""
     require_validated(A)
-    return Subset._of(A, A.upset_mask(_require_element(A, t)))
+    return Subset._of(A, _upsets(A)[_require_element(A, t)])
 
 
 def generated_lattice_ideal(A: FiniteMtlAlgebra, H: Subset) -> Subset:

@@ -23,10 +23,6 @@ class Report:
         self.add(record_type, key, value)
         self.failures += 1
 
-    def extend(self, other: "Report") -> None:
-        self.records.extend(other.records)
-        self.failures += other.failures
-
     @property
     def ok(self) -> bool:
         return self.failures == 0

@@ -28,7 +28,8 @@ from functools import partial
 from operator import itemgetter
 
 from .core import (MAX_CARRIER, FiniteMtlAlgebra, NotALatticeError,
-                   _derive_lattice, _mask, construct, validate)
+                   _derive_lattice, _mask, construct, require_validated,
+                   validate)
 from .classify import is_mv
 from .induced import (_trivial, check_mtl_iso, left_mult_algebra,
                       right_mult_algebra)
@@ -283,8 +284,7 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
     result is byte-identical to the minimum over all (n-2)! permutations,
     which `tests/conftest.canonical_form_oracle` computes by scanning them.
     """
-    if not A.validated:
-        raise ValueError("canonical form needs a validated algebra")
+    require_validated(A)
     n, bot, top = A.n, A.bot, A.top
     if n > 10:
         raise SizeRangeError("canonical form is for enumeration-scale carriers")

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import EMPTY_SET_SYMBOL, FiniteMtlAlgebra, require_validated
-
-
-class SubsetError(ValueError):
-    pass
+from .core import (EMPTY_SET_SYMBOL, FiniteMtlAlgebra, SubsetError,
+                   _require_element, require_validated)
 
 
 class EmptySubsetError(SubsetError):
@@ -49,10 +46,6 @@ class Subset:
     def __reduce__(self):  # copy and pickle rebuild through the checks
         return Subset, (self.algebra, self.bits)
 
-    def _check(self, other: "Subset") -> None:
-        if self.algebra is not other.algebra:
-            raise SubsetError("subsets belong to different algebras")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subset):
             return NotImplemented
@@ -71,15 +64,15 @@ class Subset:
         return iter(self.members())
 
     def __and__(self, other: "Subset") -> "Subset":
-        self._check(other)
+        _require_own(self.algebra, other)
         return Subset._of(self.algebra, self.bits & other.bits)
 
     def __or__(self, other: "Subset") -> "Subset":
-        self._check(other)
+        _require_own(self.algebra, other)
         return Subset._of(self.algebra, self.bits | other.bits)
 
     def issubset(self, other: "Subset") -> bool:
-        self._check(other)
+        _require_own(self.algebra, other)
         return self.bits & ~other.bits == 0
 
     def is_empty(self) -> bool:
@@ -112,12 +105,6 @@ def empty(A: FiniteMtlAlgebra) -> Subset:
 
 def full(A: FiniteMtlAlgebra) -> Subset:
     return Subset(A, (1 << A.n) - 1)
-
-
-def _require_element(A: FiniteMtlAlgebra, x: int) -> int:
-    if not 0 <= x < A.n:
-        raise SubsetError(f"element {x} outside carrier")
-    return x
 
 
 def singleton(A: FiniteMtlAlgebra, x: int) -> Subset:

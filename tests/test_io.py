@@ -78,6 +78,24 @@ def test_bad_size_token():
     assert "not an integer" in str(err.value)
 
 
+@pytest.mark.parametrize("line, broken, expected", [
+    ("algebra a4", "algebr a4", "line 2, col 1: expected `algebra <name>`"),
+    ("algebra a4", "algebra a4 b4", "line 2, col 1: expected `algebra <name>`"),
+    ("size 4", "  sizes 4", "line 3, col 3: expected `size <n>`"),
+    ("size 4", "size 4 4", "line 3, col 1: expected `size <n>`"),
+    ("bot 0", "top 0", "line 5, col 1: expected `bot <label>`"),
+    ("bot 0", " bot 0 1", "line 5, col 2: expected `bot <label>`"),
+    ("top 1", "bot 1", "line 6, col 1: expected `top <label>`"),
+    ("top 1", "top", "line 6, col 1: expected `top <label>`"),
+])
+def test_header_line_diagnostics(line, broken, expected):
+    lines = A4_TEXT.splitlines()
+    lines[lines.index(line)] = broken
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file("\n".join(lines))
+    assert str(err.value) == expected
+
+
 def test_comments_are_ignored(fixtures):
     text = "# corpus header\n# canon: deadbeef\n" + A4_TEXT
     A = parse_algebra_file(text)

@@ -13,9 +13,9 @@ from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
                      impl_right, singleton)
 from mtlstab import _pool, induced, search
 from mtlstab.classify import is_bl, is_chain, is_godel, is_imtl, is_mv
-from mtlstab.core import (LatticeMismatchError, NotALatticeError, construct,
-                          validate)
-from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
+from mtlstab.core import (LatticeMismatchError, NotALatticeError,
+                          NotValidatedError, construct, validate)
+from mtlstab.fixtures import FIXTURE_NAMES, load_fixture, load_fixture_raw
 from mtlstab.induced import check_mtl_iso
 from mtlstab.search import (
     FAMILIES,
@@ -266,6 +266,12 @@ def test_canonical_form_properties(fixtures, diamond):
     for A, B in pairs:
         same = canonical_form(A) == canonical_form(B)
         assert same == (check_mtl_iso(A, B) is not None), (A.name, B.name)
+
+
+def test_canonical_form_needs_a_validated_algebra():
+    with pytest.raises(NotValidatedError,
+                       match="^operation requires a validated algebra$"):
+        canonical_form(load_fixture_raw("a4"))
 
 
 def _off_the_ends(A, seed):

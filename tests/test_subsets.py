@@ -4,6 +4,7 @@ immutable, hashable, copyable value."""
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -21,15 +22,20 @@ from mtlstab import (
     impl_left,
     impl_right,
     impl_stab,
+    leq,
     mult_left,
     mult_right,
     mult_stab,
+    neg,
     ortho,
+    power,
     principal_filter,
     principal_ideal,
     singleton,
 )
 from mtlstab.fixtures import load_fixture_raw
+from mtlstab.induced import (left_mult_algebra, mv_left_iso, order_iso_right,
+                             right_mult_algebra)
 
 ALL_OPS = (impl_left, impl_right, impl_stab, ortho,
            mult_left, mult_right, mult_stab)
@@ -47,6 +53,36 @@ def test_constructors_reject_out_of_range_input(fixtures):
             from_elements(a4, [0, x])
     with pytest.raises(KeyError):
         from_labels(a4, "a,zz")
+
+
+# Every public entry point that takes a carrier element, as (fixture, call).
+ELEMENT_ENTRY_POINTS = {
+    "singleton": ("a4", singleton),
+    "from_elements": ("a4", lambda A, x: from_elements(A, [0, x])),
+    "principal_filter": ("a4", principal_filter),
+    "principal_ideal": ("a4", principal_ideal),
+    "leq-left": ("a4", lambda A, x: leq(A, x, 0)),
+    "leq-right": ("a4", lambda A, x: leq(A, 0, x)),
+    "neg": ("a4", neg),
+    "power": ("a4", lambda A, x: power(A, x, 2)),
+    "left_mult_algebra": ("a4", left_mult_algebra),
+    "right_mult_algebra": ("a4", right_mult_algebra),
+    "order_iso_right": ("a4", order_iso_right),
+    "mv_left_iso": ("m6", mv_left_iso),
+}
+
+
+@pytest.mark.parametrize("entry", ELEMENT_ENTRY_POINTS)
+@pytest.mark.parametrize("outside", ["-1", "n"])
+def test_element_entry_points_reject_elements_outside_the_carrier(
+        fixtures, entry, outside):
+    # An unchecked -1 reads top's table entries, and n raises IndexError.
+    name, call = ELEMENT_ENTRY_POINTS[entry]
+    A = fixtures[name]
+    x = -1 if outside == "-1" else A.n
+    with pytest.raises(SubsetError,
+                       match=f"^{re.escape(f'element {x} outside carrier')}$"):
+        call(A, x)
 
 
 def test_constructors_reject_unvalidated_algebras():

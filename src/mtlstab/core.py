@@ -387,13 +387,17 @@ def neg(A: FiniteMtlAlgebra, x: int) -> int:
 
 
 def power(A: FiniteMtlAlgebra, x: int, k: int) -> int:
-    """k-fold mul product of x; the empty product is top."""
+    """k-fold mul product of x; the empty product is top.  The powers fall,
+    x^(m+1) <= x^m, so they are constant from the first m with
+    x^(m+1) = x^m on, and that m is below n."""
     require_validated(A)
     _require_element(A, x)
     if k < 0:
         raise ValueError("exponent must be a natural number")
     acc = A.top
     for _ in range(k):
-        acc = A.mul[acc][x]
+        acc, last = A.mul[acc][x], acc
+        if acc == last:
+            break
     return acc
 

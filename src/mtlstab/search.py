@@ -15,9 +15,10 @@ finished ones; the lattice search also checks the residuum and prelinearity.
 The canonical form, which names and deduplicates enumerated algebras, is the
 lexicographically least table serialization over carrier relabellings fixing
 bot and top.  A branch-and-bound search places interior elements one position
-at a time and cuts a branch once a lower bound on its serializations reaches
-the best one found; the result is byte-identical to a scan of all (n-2)!
-permutations, kept as a test oracle.  Carriers stay capped at 10 elements.
+at a time and cuts a branch once a lower bound on its serializations, with
+sorted free columns, reaches the best one found; the result is
+byte-identical to a scan of all (n-2)! permutations, kept as a test oracle.
+Carriers stay capped at 10 elements.
 """
 
 from __future__ import annotations
@@ -274,13 +275,20 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
     isomorphic algebras.  Carriers above 10 elements raise SizeRangeError.
 
     The form is found by depth-first search: position k+1 is given to each
-    free interior element in turn, once positions 0..k are placed.  A node
-    is cut when a componentwise lower bound on every serialization below it
-    is lexicographically at or above the best one found so far.  In the
-    bound an entry whose row and column are placed is the image of its
-    value, or k+1, the smallest image still free, when the value is free
-    itself; an entry in an unplaced row or column is the least of these
-    over the free elements.  At a leaf the bound is the serialization.  The
+    free interior element in turn, once positions 0..k are placed.  The bot
+    and top rows and the top column are the same in every serialization, so
+    the search leaves them out.  A node is cut when a lower bound on every
+    serialization below it is lexicographically at or above the best one
+    found so far.  In the bound a free value is translated to k+1, the
+    smallest position still free; a placed row's free columns are its
+    translated values over the free elements, sorted; the unplaced rows are
+    the free elements' rows, each bounded the same way, sorted.  The bound
+    is valid: each final value is at least its bound, as a free value's
+    final position is at least k+1; so the sorted bounds are at most the
+    sorted final values, entry by entry; and these are at most any
+    arrangement of them.  The same holds for the unplaced rows as wholes.
+    So every leaf is at or above the bound, row by row, and no strictly
+    smaller leaf is cut.  At a leaf the bound is the serialization.  The
     result is byte-identical to the minimum over all (n-2)! permutations,
     which `tests/conftest.canonical_form_oracle` computes by scanning them.
     """
@@ -296,31 +304,21 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
     placed = [bot]                      # the elements at positions 0..k
     free = [x for x in range(n) if x not in (bot, top)]
     best: tuple[bytes, ...] | None = None
+    order = placed
 
     def bound():
-        """The rows of the lower bound, in serialization order.  A row is
-        picked from its translated table row extended by the least value
-        over the free columns, at index n."""
-        f = len(free)
-        columns = itemgetter(*placed, *[n] * f, top)
-        if f:
-            # free[0] twice, so that one free element still gives a tuple
-            over_free = itemgetter(*free, free[0])
+        """The interior rows of the lower bound, in serialization order."""
+        k = len(placed)
+        columns = itemgetter(*placed, *free)  # a tuple: rows exist for n >= 3
 
         def row(t: bytes) -> bytes:
-            if f:
-                t += bytes((min(over_free(t)),))
-            return bytes(columns(t))
+            t = columns(t.translate(image))
+            return bytes((*t[:k], *sorted(t[k:])))
 
         for rows in tables:
-            for x in placed:
-                yield row(rows[x].translate(image))
-            if f:
-                low = zip(*(rows[x].translate(image) for x in free))
-                unplaced = row(bytes(map(min, low)))
-                for _ in range(f):
-                    yield unplaced
-            yield row(rows[top].translate(image))
+            for x in placed[1:]:
+                yield row(rows[x])
+            yield from sorted(row(rows[x]) for x in free)
 
     def below_best(rows) -> bool:
         for got, have in zip(rows, best):
@@ -329,11 +327,11 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
         return False
 
     def descend() -> None:
-        nonlocal best
+        nonlocal best, order
         if not free:
             rows = tuple(bound())
             if best is None or rows < best:
-                best = rows
+                best, order = rows, placed + [top]
             return
         if best is not None and not below_best(bound()):
             return
@@ -350,7 +348,11 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
             free.append(x)
 
     descend()
-    return b"".join(best)
+    for position, x in enumerate(order):
+        image[x] = position
+    columns = itemgetter(*order)
+    return b"".join(bytes(columns(rows[x].translate(image)))
+                    for rows in tables for x in order)
 
 
 def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,

@@ -55,7 +55,7 @@ class Subset:
         return hash((id(self.algebra), self.bits))
 
     def __contains__(self, x: int) -> bool:
-        return bool(self.bits >> x & 1)
+        return x >= 0 and bool(self.bits >> x & 1)  # no bit is set from n on
 
     def __len__(self) -> int:
         return self.bits.bit_count()

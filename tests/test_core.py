@@ -253,6 +253,17 @@ def test_power_examples(small_corpus):
             assert power(A, x, 1) == x
 
 
+def test_power_is_the_k_fold_product_and_stops_once_constant(fixtures):
+    # x^(m+1) = x^m for some m < n, so a huge exponent costs at most n steps
+    for A in fixtures.values():
+        for x in range(A.n):
+            plain = A.top
+            for k in range(2 * A.n + 1):
+                assert power(A, x, k) == plain, (A.name, x, k)
+                plain = A.mul[plain][x]
+            assert power(A, x, 10**12) == power(A, x, A.n)
+
+
 def test_power_rejects_negative_exponent(fixtures):
     with pytest.raises(ValueError):
         power(fixtures["a4"], 0, -1)

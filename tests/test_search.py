@@ -67,6 +67,9 @@ def test_chain_counts():
         chains = enumerate_chains(n)
         assert len(chains) == expect
         assert len({A.mul for A in chains}) == expect
+        # distinct chains on one order are not isomorphic: a second route
+        # for canonical-form dedup
+        assert len({canonical_form(A) for A in chains}) == expect
         tables = [A.mul for A in chains]
         assert tables == sorted(tables)
         for A in chains:
@@ -294,6 +297,8 @@ def test_canonical_form_matches_permutation_oracle():
     corpus += [product_algebra(product_algebra(G(2), G(2)), G(2)),
                product_algebra(L(3), L(3)), product_algebra(G(3), G(3)),
                product_algebra(NM(3), G(3)), product_algebra(G(2), L(4))]
+    # the bound cuts most at larger n
+    corpus += random.Random(8).sample(enumerate_chains(8), 60)
     for i, A in enumerate(corpus):
         for B in (A, _off_the_ends(A, 2 * i), _off_the_ends(A, 2 * i + 1)):
             assert canonical_form(B) == canonical_form_oracle(B), \

@@ -85,6 +85,13 @@ def test_element_entry_points_reject_elements_outside_the_carrier(
         call(A, x)
 
 
+def test_membership_is_false_outside_the_carrier(fixtures):
+    a4 = fixtures["a4"]
+    for X in (singleton(a4, 0), Subset(a4, (1 << a4.n) - 1)):
+        assert 0 in X
+        assert -1 not in X and a4.n not in X
+
+
 def test_constructors_reject_unvalidated_algebras():
     raw = load_fixture_raw("a4")
     for make in (lambda: Subset(raw, 1), lambda: singleton(raw, 0),

@@ -3,16 +3,17 @@ isomorphism between right stabilizers, and isomorphism testing.
 
 For an idempotent x the left stabilizer carrier gets bot = x and top = 1
 with all operations restricted; the right stabilizer carrier gets bot = 0,
-top = x, restricted mul/meet/join and the implication
-``a ~> b = mul(x, imp(a, b))``.  One-element carriers are reported as
-trivial rather than validated.  Every other failure (an entry that leaves
-the carrier, a missing constant, tables that `construct` refuses, a failed
-axiom) comes back from `_build` as the T4.7/T4.8 witness fields, not raised.
+top = x, restricted mul/meet/join and, on its rows, ``a ~> b = x imp(a, b)``.
+One-element carriers are trivial, not validated.  Every other failure (an
+entry that leaves the carrier, a missing constant, tables that `construct`
+refuses, a failed axiom) comes back from `_build` as the T4.7/T4.8 witness
+fields, not raised; `_validates` says, without building, if it would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     AlgebraError,
@@ -103,6 +104,32 @@ def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
     return InducedAlgebra(carrier, algebra)
 
 
+def _validates(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
+              imp_table) -> bool:
+    """Whether `_build` validates on the arguments of `left_mult_algebra` or
+    `right_mult_algebra`: C holds bot' != top', is closed under mul, imp',
+    meet and join, and has bot' <= a = mul(top', a); else `_build` fails.
+    Given these, labels and entries come from A, and the laws without imp'
+    or a constant hold in C as in A; on the left (imp' = imp, top' = 1) all
+    do but the bounds.  On the right (imp'(a, b) = x(a -> b), bot' = 0,
+    top' = x), xa = a gives the bounds, order consistency (x <= a -> b iff
+    a = xa <= b), adjointness (a <= x(b -> c) <= b -> c; ab <= c gives
+    a = xa <= x(b -> c)) and prelinearity (mul distributes over join).
+    """
+    bits, members = carrier.bits, carrier.members()
+    if bot_elt == top_elt or not bits >> bot_elt & bits >> top_elt & 1:
+        return False
+    unit, have, row = A.mul[top_elt], set(members), itemgetter(*members)
+    return (not bits & ~_upsets(A)[bot_elt] and all(unit[a] == a for a in members)
+            and all(have.issuperset(row(t[a]))  # a tuple: C has two members
+                    for t in (A.mul, imp_table, A.meet, A.join) for a in members))
+
+
+def _right_imp(A: FiniteMtlAlgebra, x: int, carrier: Subset) -> dict[int, list[int]]:
+    """The rows of a ~> b = mul(x, imp(a, b)) at the members a of the carrier."""
+    return {a: [A.mul[x][v] for v in A.imp[a]] for a in carrier.members()}
+
+
 def left_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
     """The algebra on mult_left({x}) with bot = x, top = 1."""
     require_validated(A)
@@ -117,8 +144,7 @@ def right_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
     require_validated(A)
     _require_idempotent(A, x)
     carrier = mult_right(A, singleton(A, x))
-    imp = [[A.mul[x][r] for r in row] for row in A.imp]
-    return _build(A, carrier, A.bot, x, imp)
+    return _build(A, carrier, A.bot, x, _right_imp(A, x, carrier))
 
 
 def order_iso_right(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:

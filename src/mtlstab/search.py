@@ -32,8 +32,8 @@ from .core import (MAX_CARRIER, FiniteMtlAlgebra, NotALatticeError,
                    _derive_lattice, _mask, construct, require_validated,
                    validate)
 from .classify import is_mv
-from .induced import (_trivial, check_mtl_iso, left_mult_algebra,
-                      right_mult_algebra)
+from .induced import (_right_imp, _trivial, _validates, check_mtl_iso,
+                      left_mult_algebra, right_mult_algebra)
 from .order import all_filters
 from .stabilizers import impl_left, impl_right, mult_left, mult_right
 from .subsets import singleton
@@ -431,24 +431,23 @@ def open2_scan(corpus) -> list[SearchFinding]:
 def open3_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
     """Idempotents whose two induced stabilizer algebras are not isomorphic.
 
-    Triviality is decided from the two carriers, mult_left({x}) and
-    mult_right({x}), before either algebra is built: when one has fewer
-    than two elements there is nothing to compare, so neither is built.
+    Both carriers, mult_left({x}) and mult_right({x}), come from the one-point
+    masks, and x is skipped when one is trivial or, by `induced._validates`,
+    would not validate (a T4.7/T4.8 refutation instead).  Carriers of
+    different sizes are a finding at once; only equal sizes are built.
     """
     findings = []
     for x in A.idempotents():
         X = singleton(A, x)
-        if _trivial(mult_left(A, X)) or _trivial(mult_right(A, X)):
+        left, right = mult_left(A, X), mult_right(A, X)
+        if _trivial(left) or _trivial(right) or not (
+                _validates(A, left, x, A.top, A.imp)
+                and _validates(A, right, A.bot, x, _right_imp(A, x, right))):
             continue
-        left = left_mult_algebra(A, x)
-        right = right_mult_algebra(A, x)
-        if not (left.ok and right.ok):
-            continue  # a failed construction is a T4.7/T4.8 refutation instead
-        if check_mtl_iso(left.algebra, right.algebra) is None:
-            findings.append(SearchFinding(
-                "open3", A, {
-                    "x": A.labels[x],
-                    "left-size": str(left.algebra.n),
-                    "right-size": str(right.algebra.n),
-                }))
+        if len(left) != len(right) or check_mtl_iso(
+                left_mult_algebra(A, x).algebra,
+                right_mult_algebra(A, x).algebra) is None:
+            findings.append(SearchFinding("open3", A, {
+                "x": A.labels[x], "left-size": str(len(left)),
+                "right-size": str(len(right))}))
     return findings

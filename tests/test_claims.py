@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from conftest import (antitone_all_pairs_oracle, every_subset_oracle,
-                      full_scan_oracle, open3_scan_oracle, oracle_corpus,
-                      relabel)
+                      full_scan_oracle, induced_build_args, open3_scan_oracle,
+                      oracle_corpus, relabel)
 from mtlstab import fixtures as fixtures_module
 from mtlstab import stabilizers
 from mtlstab import (Subset, all_filters, from_labels, generated_filter,
@@ -43,6 +43,7 @@ from mtlstab.claims import (
     verify_all,
     verify_claim,
 )
+from mtlstab.induced import _build, _validates
 from mtlstab.search import (FAMILIES, enumerate_all, gen_family, open1_scan,
                             open2_premise, open3_scan)
 
@@ -557,6 +558,26 @@ def test_induced_claims_report_corrupted_masks_and_never_raise():
                             else "construct"] += 1
             assert open3_scan(A) == open3_scan_oracle(A)
     assert reasons["missing"] > 10 and reasons["construct"] > 100
+
+
+def test_validates_decides_build_on_corrupted_masks():
+    # The corpus and seed of the test above: on any carrier a wrong mask
+    # gives, the check agrees with the build on both sides of every idempotent.
+    rng = random.Random(19)
+    algebras = ([fixtures_module.load_fixture(name) for name in ("a4", "g6", "i6", "m6")]
+                + [gen_family(f, n) for f in FAMILIES for n in range(2, 7)])
+    for A, op in product(algebras, STAB_OPS.values()):
+        op(A, singleton(A, 0))  # fills the mask cache
+    verdicts = Counter()
+    for _ in range(1200):
+        A = rng.choice(algebras)
+        with _corrupted_masks(A, rng):
+            for x in A.idempotents():
+                for args in induced_build_args(A, x):
+                    verdict = _validates(*args)
+                    assert verdict == _build(*args).ok, (A.name, x)
+                    verdicts[verdict] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
 
 
 def _witness_kind(witness):

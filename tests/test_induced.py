@@ -1,13 +1,20 @@
 import dataclasses
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
-from conftest import product_algebra, relabel
-from mtlstab import InternalConsistencyError, from_labels, mult_right, singleton
+from conftest import (ORACLE_SOURCES, induced_build_args, oracle_corpus,
+                      product_algebra, relabel)
+from mtlstab import (InternalConsistencyError, Subset, from_labels, mult_right,
+                     singleton)
 from mtlstab.claims import verify_claim
 from mtlstab.induced import (
     InducedAlgebra,
+    _build,
+    _right_imp,
+    _validates,
     NotIdempotentError,
     NotMvError,
     check_mtl_iso,
@@ -64,6 +71,33 @@ def test_g6_induced_sizes(fixtures):
     assert left.ok and left.carrier == from_labels(g6, "c,1")
     assert right.ok and right.carrier == from_labels(g6, "0,a,b,c")
     assert right.algebra.n == 4
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES + ["families:64"])
+def test_validates_decides_build(source):
+    corpus = ([gen_family(f, 64) for f in FAMILIES] if source == "families:64"
+              else oracle_corpus(source))
+    for A in corpus:
+        for x in A.idempotents():
+            for args in induced_build_args(A, x):
+                assert _validates(*args) == _build(*args).ok, (A.name, x)
+
+
+def test_validates_decides_build_on_every_carrier(fixtures):
+    # Any subset may stand in for the carrier, as a wrong one-point mask can
+    # make it: the check agrees with the build on all of them.
+    corpus = list(fixtures.values()) + [A for n in range(2, 7)
+                                        for A in oracle_corpus(f"all:{n}")]
+    verdicts = Counter()
+    for A in corpus:
+        for x, bits in product(A.idempotents(), range(1, 1 << A.n)):
+            carrier = Subset(A, bits)
+            for args in ((A, carrier, x, A.top, A.imp),
+                         (A, carrier, A.bot, x, _right_imp(A, x, carrier))):
+                verdict = _validates(*args)
+                assert verdict == _build(*args).ok, (A.name, x, bits)
+                verdicts[verdict] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 10000, verdicts
 
 
 def test_non_idempotent_rejected(fixtures):

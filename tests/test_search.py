@@ -402,20 +402,31 @@ def test_open3_scan_matches_build_both_oracle(source):
             A.name
 
 
-def test_open3_scan_builds_only_the_algebras_it_compares(monkeypatch):
-    # On the Godel chain mult_right({0}) = {0} and mult_left({1}) = {1}, so
-    # only the interior idempotents a and b have two algebras to compare.
+@pytest.mark.parametrize("family,count", [("lukasiewicz", 0), ("godel", 62),
+                                          ("nilpotent_minimum", 31)])
+def test_open3_scan_matches_build_both_oracle_at_64(family, count):
+    A = gen_family(family, 64)
+    findings = open3_scan(A)
+    assert _finding_keys(findings) == _finding_keys(open3_scan_oracle(A))
+    assert len(findings) == count
+
+
+def test_open3_scan_builds_only_the_algebras_it_compares(fixtures, monkeypatch):
+    # Carriers of different sizes are a finding without a build; an
+    # equal-size non-trivial pair is built, left then right, and compared.
     built = []
     real_build = induced._build
 
     def counting_build(A, carrier, bot_elt, top_elt, imp_table):
-        built.append((A.labels[bot_elt], A.labels[top_elt]))
+        built.append((A.name, A.labels[bot_elt], A.labels[top_elt]))
         return real_build(A, carrier, bot_elt, top_elt, imp_table)
 
     monkeypatch.setattr(induced, "_build", counting_build)
     godel4 = gen_family("godel", 4)
-    assert len(open3_scan(godel4)) == 2
-    assert built == [("a", "1"), ("0", "a"), ("b", "1"), ("0", "b")]
+    assert len(open3_scan(godel4)) == 2  # sizes 3/2 at a and 2/3 at b
+    assert built == []
+    assert open3_scan(fixtures["a4"]) == []  # two 2-chains at b
+    assert built == [("a4", "b", "1"), ("a4", "0", "b")]
 
 
 def test_parallel_enumeration_matches_serial(monkeypatch):

@@ -2,18 +2,21 @@
 
 Every claim has a stable id and is checked against a concrete algebra by
 quantifier scan: subsets ascending by bit pattern, element tuples in
-lexicographic order, so refutation witnesses are deterministic.  A claim on
-all 2^n - 1 subsets scans a small domain that holds a failing X whenever
-any subset fails, as each domain's docstring proves, mostly from each
-stabilizer value being the intersection of its members' one-point values.
-Claims with a hypothesis (BL-only, MV-only, idempotent-only) come back
-`not-applicable` when the hypothesis fails, never vacuously `holds`, so
-corpus statistics separate verified from untested.
+lexicographic order, so refutation witnesses are deterministic.  Identities
+are decided on bytes rows and induced algebras by `induced._validates`; the
+scan or the build runs only to explain a failure.  A claim on all 2^n - 1
+subsets scans a small domain that holds a failing X whenever any subset
+fails, as each domain's docstring proves, mostly from each stabilizer value
+being the intersection of its members' one-point values.  Claims with a
+hypothesis (BL-only, MV-only, idempotent-only) come back `not-applicable`
+when the hypothesis fails, never vacuously `holds`, so corpus statistics
+separate verified from untested.
 
 Three registry entries (Q-godel-xr-union-subalg, P4.3.5, P4.3.6) are
 expected to be refutable on ordinary algebras and carry metadata saying so;
-regression runs alert when an expected refutation disappears.  One entry (P4.3.11) references an operator that has no
-definition for proper subsets and is registered as not evaluable.
+regression runs alert when an expected refutation disappears.  One entry
+(P4.3.11) references an operator that has no definition for proper subsets
+and is registered as not evaluable.
 
 Claims read stabilizers, filters and ideals from the library operators.  The
 second, independent route to the same sets lives in `_cross_route`: P3.4.1
@@ -26,9 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
+from math import prod
+from operator import eq, getitem
 from typing import Callable
 
-from .core import FiniteMtlAlgebra, InternalConsistencyError, require_validated
+from .core import (FiniteMtlAlgebra, InternalConsistencyError, _flag,
+                   require_validated)
 from .classify import (
     _godel_chain_left,
     _godel_chain_right,
@@ -45,10 +51,12 @@ from .classify import (
     is_mv,
 )
 from .induced import (
-    left_mult_algebra,
+    _build,
+    _sides,
+    _trivial,
+    _validates,
     mv_left_iso,
     order_iso_right,
-    right_mult_algebra,
 )
 from .order import (
     _first_escape,
@@ -112,9 +120,15 @@ def _row_scan(A, names: str, prefixes, row):
     return True, None, count
 
 
-def _tuple_claim(arity: int, row):
-    """A law on every element tuple, lexicographic; the witness names x, y, z."""
-    return lambda A: _row_scan(A, "xyz", product(range(A.n), repeat=arity - 1), row)
+def _identity_claim(names: str, row, decide):
+    """A law on each tuple of `names`, e over the idempotents and the rest
+    over the carrier: decided on bytes rows, scanned only to explain a failure."""
+    def check(A):
+        ranges = [A.idempotents() if v == "e" else range(A.n) for v in names]
+        if decide(_Rows(A)):
+            return True, None, prod(map(len, ranges))
+        return _row_scan(A, names, product(*ranges[:-1]), row)
+    return check
 
 
 def _scan(A, pred, domain, scope):
@@ -281,36 +295,85 @@ def _subalgebra_witness(A, S: Subset):
 
 # -- basic identities -------------------------------------------------------
 
-# Prop. 2.2 as (statement, arity, law): the law on A, a tuple but its last
-# element, and the carrier E is its truth at each last element in E.  Items
-# 1-10 are the MTL laws of Esteva and Godo; 11 and 12 are cited in the
-# surrounding development but absent from that list of ten.
+# Prop. 2.2 and the center identity as (statement, variables, law): the law
+# on A, a tuple but its last element, and the carrier E is its truth at each
+# last element in E.  Items 1-10 of Prop. 2.2 are the MTL laws of Esteva and
+# Godo; 11 and 12 are cited in the surrounding development but absent from
+# that list of ten.
 _IDENTITIES = {
-    "P2.2.1": ("x <= y exactly when imp(x, y) is top", 2, lambda A, x, E:
+    "P2.2.1": ("x <= y exactly when imp(x, y) is top", "xy", lambda A, x, E:
                [(A.meet[x][y] == x) == (A.imp[x][y] == A.top) for y in E]),
-    "P2.2.2": ("mul(x, y) lies below meet(x, y)", 2, lambda A, x, E:
+    "P2.2.2": ("mul(x, y) lies below meet(x, y)", "xy", lambda A, x, E:
                [A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y] for y in E]),
-    "P2.2.3": ("imp distributes over meet on the right", 3, lambda A, x, y, E:
+    "P2.2.3": ("imp distributes over meet on the right", "xyz", lambda A, x, y, E:
                [A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]] for z in E]),
-    "P2.2.4": ("imp turns join on the left into meet", 3, lambda A, x, y, E:
+    "P2.2.4": ("imp turns join on the left into meet", "xyz", lambda A, x, y, E:
                [A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]] for z in E]),
-    "P2.2.5": ("imp(x, y) equals imp(x, meet(x, y))", 2, lambda A, x, E:
+    "P2.2.5": ("imp(x, y) equals imp(x, meet(x, y))", "xy", lambda A, x, E:
                [A.imp[x][y] == A.imp[x][A.meet[x][y]] for y in E]),
-    "P2.2.6": ("imp(x, y) equals imp(join(x, y), y)", 2, lambda A, x, E:
+    "P2.2.6": ("imp(x, y) equals imp(join(x, y), y)", "xy", lambda A, x, E:
                [A.imp[x][y] == A.imp[A.join[x][y]][y] for y in E]),
-    "P2.2.7": ("imp turns meet on the left into join", 3, lambda A, x, y, E:
+    "P2.2.7": ("imp turns meet on the left into join", "xyz", lambda A, x, y, E:
                [A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]] for z in E]),
-    "P2.2.8": ("join is recovered from double residuation", 2, lambda A, x, E:
+    "P2.2.8": ("join is recovered from double residuation", "xy", lambda A, x, E:
                [A.join[x][y] == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]
                 for y in E]),
-    "P2.2.9": ("x lies below imp(y, x)", 2, lambda A, x, E:
+    "P2.2.9": ("x lies below imp(y, x)", "xy", lambda A, x, E:
                [A.meet[x][A.imp[y][x]] == x for y in E]),
-    "P2.2.10": ("triple negation collapses to single negation", 1, lambda A, E:
+    "P2.2.10": ("triple negation collapses to single negation", "x", lambda A, E:
                 [A.imp[x][A.bot] == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot] for x in E]),
-    "P2.2.11": ("an element times its negation is bot", 1, lambda A, E:
+    "P2.2.11": ("an element times its negation is bot", "x", lambda A, E:
                 [A.mul[x][A.imp[x][A.bot]] == A.bot for x in E]),
-    "P2.2.12": ("x lies below imp(imp(x, y), y)", 2, lambda A, x, E:
+    "P2.2.12": ("x lies below imp(imp(x, y), y)", "xy", lambda A, x, E:
                 [A.meet[x][A.imp[A.imp[x][y]][y]] == x for y in E]),
+    "P2.4.2": ("center members commute with residuation", "exy", lambda A, e, x, E:
+               [A.mul[e][A.imp[x][y]] == A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]]
+                for y in E]),
+}
+
+
+class _Rows:
+    """A's tables as bytes, as `core._rows_hold` reads them: meet, join, mul,
+    imp and cols (imp's columns) padded to 256-byte `translate` tables; m, j,
+    p and i the n^2 entries, (x, y) at x n + y, and X and Y the x and y.  So
+    r.translate(s) == over(t, r) says r(s(a, b)) == t(r(a), r(b))."""
+
+    def __init__(self, A: FiniteMtlAlgebra):
+        self.A, self.n, self.pad = A, A.n, bytes(256 - A.n)
+        rows = [list(map(bytes, t)) for t in (A.meet, A.join, A.mul, A.imp)]
+        self.m, self.j, self.p, self.i = map(b"".join, rows)
+        rows.append([self.i[y::A.n] for y in range(A.n)])  # imp's columns
+        self.meet, self.join, self.mul, self.imp, self.cols = (
+            [r + self.pad for r in t] for t in rows)
+        self.X = b"".join(bytes((x,)) * A.n for x in range(A.n))
+        self.Y = bytes(range(A.n)) * A.n
+
+    def at(self, rows, F: bytes, G: bytes) -> bytes:  # rows[F[k]][G[k]] at each k
+        return bytes(map(getitem, map(rows.__getitem__, F), G))
+
+    def over(self, rows, r: bytes) -> bytes:  # rows[r[a]][r[b]] at each (a, b)
+        return b"".join(map(r[:self.n].translate, map(rows.__getitem__, r[:self.n])))
+
+
+# Each identity decided on the tuples its scan reads; cols[bot] is neg.
+_DECISIONS = {
+    "P2.2.1": lambda R: bytes(map(eq, R.m, R.X)) == R.i.translate(_flag(R.A.top)),
+    "P2.2.2": lambda R: R.at(R.meet, R.p, R.m) == R.p,
+    "P2.2.3": lambda R: all(R.m.translate(r) == R.over(R.meet, r) for r in R.imp),
+    "P2.2.4": lambda R: all(R.j.translate(c) == R.over(R.meet, c) for c in R.cols),
+    "P2.2.5": lambda R: R.i == R.at(R.imp, R.X, R.m),
+    "P2.2.6": lambda R: R.i == R.at(R.imp, R.j, R.Y),
+    "P2.2.7": lambda R: all(R.m.translate(c) == R.over(R.join, c) for c in R.cols),
+    "P2.2.8": lambda R: R.j == R.at(R.meet, R.at(R.imp, R.i, R.Y),
+                                    R.at(R.imp, R.at(R.imp, R.Y, R.X), R.X)),
+    "P2.2.9": lambda R: R.at(R.meet, R.X, R.at(R.imp, R.Y, R.X)) == R.X,
+    "P2.2.10": lambda R: (neg := R.cols[R.A.bot])[:R.n]
+    == neg[:R.n].translate(neg).translate(neg),
+    "P2.2.11": lambda R: bytes(map(getitem, R.mul, R.cols[R.A.bot]))
+    == bytes((R.A.bot,)) * R.n,
+    "P2.2.12": lambda R: R.at(R.meet, R.X, R.at(R.imp, R.i, R.Y)) == R.X,
+    "P2.4.2": lambda R: all(R.i.translate(e) == R.over(R.imp, e).translate(e)
+                            for e in map(R.mul.__getitem__, R.A.idempotents())),
 }
 
 
@@ -516,16 +579,17 @@ def _p46(A, X):
 
 # -- induced-structure claims ------------------------------------------------
 
-def _induced_claim(builder):
+def _induced_claim(side: int):
+    """Side 0 (left) or 1 (right) at each idempotent, built only to explain a failure."""
     def check(A):
         checked = 0
         for x in A.idempotents():
-            induced = builder(A, x)
-            if induced.trivial:
+            args = _sides(A, x)[side]
+            if _trivial(args[1]):
                 continue
             checked += 1
-            if induced.failure:
-                return False, {"x": A.labels[x], **induced.failure}, checked
+            if not _validates(*args):
+                return False, {"x": A.labels[x], **_build(*args).failure}, checked
         return True, None, checked
     return check
 
@@ -550,21 +614,12 @@ def _iso_claim(iso):
 def _build_registry() -> dict[str, Claim]:
     claims: list[Claim] = []
 
-    for cid, (statement, arity, law) in _IDENTITIES.items():
-        claims.append(Claim(cid, statement, _tuple_claim(arity, law)))
+    for cid, (statement, names, law) in _IDENTITIES.items():
+        claims.append(Claim(cid, statement, _identity_claim(names, law, _DECISIONS[cid])))
 
-    def p241(A):
-        # A.idempotents() selects on mul(e, e) == e: nothing is left to fail.
-        return True, None, len(A.idempotents())
-
-    def p242(A):  # e * (x -> y) == e * ((e * x) -> (e * y))
-        prefixes = product(A.idempotents(), range(A.n))
-        return _row_scan(A, "exy", prefixes, lambda A, e, x, E: [
-            A.mul[e][A.imp[x][y]] == A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]] for y in E])
-
-    claims.append(Claim("P2.4.1", "center members are idempotent", p241))
-    claims.append(Claim("P2.4.2",
-                        "center members commute with residuation", p242))
+    # A.idempotents() selects on mul(e, e) == e: nothing is left to fail.
+    claims.append(Claim("P2.4.1", "center members are idempotent",
+                        lambda A: (True, None, len(A.idempotents()))))
 
     claims.append(Claim("P3.4.1",
                         "stabilizers of a set are intersections over singletons",
@@ -688,10 +743,10 @@ def _build_registry() -> dict[str, Claim]:
 
     claims.append(Claim("T4.7-left-alg",
                         "left stabilizer of an idempotent carries an algebra"
-                        " with bot x", _induced_claim(left_mult_algebra)))
+                        " with bot x", _induced_claim(0)))
     claims.append(Claim("T4.8-right-alg",
                         "right stabilizer of an idempotent carries an algebra"
-                        " with top x", _induced_claim(right_mult_algebra)))
+                        " with top x", _induced_claim(1)))
     claims.append(Claim("T4.9-godel",
                         "idempotent mul matches upset/downset stabilizers",
                         _bundle_claim((

@@ -28,7 +28,7 @@ from .core import (
 )
 from .order import _first_escape
 from .subsets import Subset, singleton
-from .stabilizers import impl_left, impl_right, mult_left, mult_right
+from .stabilizers import impl_left, impl_right, mult_right
 
 
 class NotIdempotentError(ValueError):
@@ -106,36 +106,44 @@ def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
 
 def _validates(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
               imp_table) -> bool:
-    """Whether `_build` validates on the arguments of `left_mult_algebra` or
-    `right_mult_algebra`: C holds bot' != top', is closed under mul, imp',
-    meet and join, and has bot' <= a = mul(top', a); else `_build` fails.
+    """Whether `_build` validates on the arguments `_sides` gives: C holds
+    bot' != top', is closed under mul, imp' and join, and has bot' <= a =
+    mul(top', a); else `_build` fails.  Meet needs no check, as
+    a ^ b = a(a -> b) v b(b -> a) in every MTL-algebra (on chains, so on
+    their subdirect products) and a imp'(a, b) = a(a -> b) on both sides.
     Given these, labels and entries come from A, and the laws without imp'
     or a constant hold in C as in A; on the left (imp' = imp, top' = 1) all
     do but the bounds.  On the right (imp'(a, b) = x(a -> b), bot' = 0,
     top' = x), xa = a gives the bounds, order consistency (x <= a -> b iff
     a = xa <= b), adjointness (a <= x(b -> c) <= b -> c; ab <= c gives
-    a = xa <= x(b -> c)) and prelinearity (mul distributes over join).
-    """
+    a = xa <= x(b -> c)) and prelinearity (mul distributes over join)."""
     bits, members = carrier.bits, carrier.members()
     if bot_elt == top_elt or not bits >> bot_elt & bits >> top_elt & 1:
         return False
     unit, have, row = A.mul[top_elt], set(members), itemgetter(*members)
     return (not bits & ~_upsets(A)[bot_elt] and all(unit[a] == a for a in members)
             and all(have.issuperset(row(t[a]))  # a tuple: C has two members
-                    for t in (A.mul, imp_table, A.meet, A.join) for a in members))
+                    for t in (A.mul, imp_table, A.join) for a in members))
 
 
-def _right_imp(A: FiniteMtlAlgebra, x: int, carrier: Subset) -> dict[int, list[int]]:
+def _right_imp(A: FiniteMtlAlgebra, x: int, carrier: Subset) -> dict[int, bytes]:
     """The rows of a ~> b = mul(x, imp(a, b)) at the members a of the carrier."""
-    return {a: [A.mul[x][v] for v in A.imp[a]] for a in carrier.members()}
+    by_x = bytes(A.mul[x]) + bytes(256 - A.n)  # a `translate` table
+    return {a: bytes(A.imp[a]).translate(by_x) for a in carrier.members()}
+
+
+def _sides(A: FiniteMtlAlgebra, x: int) -> tuple[tuple, tuple]:
+    """The `_build` arguments of left_mult_algebra(A, x) and of
+    right_mult_algebra(A, x): the carriers are x's one-point masks."""
+    left, right = (Subset._of(A, A._fixed_masks(k)[x]) for k in ("mult_left", "mult_right"))
+    return (A, left, x, A.top, A.imp), (A, right, A.bot, x, _right_imp(A, x, right))
 
 
 def left_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
     """The algebra on mult_left({x}) with bot = x, top = 1."""
     require_validated(A)
     _require_idempotent(A, x)
-    carrier = mult_left(A, singleton(A, x))
-    return _build(A, carrier, x, A.top, A.imp)
+    return _build(*_sides(A, x)[0])
 
 
 def right_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
@@ -143,8 +151,7 @@ def right_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
     implication a ~> b = mul(x, imp(a, b))."""
     require_validated(A)
     _require_idempotent(A, x)
-    carrier = mult_right(A, singleton(A, x))
-    return _build(A, carrier, A.bot, x, _right_imp(A, x, carrier))
+    return _build(*_sides(A, x)[1])
 
 
 def order_iso_right(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:

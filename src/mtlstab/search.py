@@ -32,10 +32,10 @@ from .core import (MAX_CARRIER, FiniteMtlAlgebra, NotALatticeError,
                    _derive_lattice, _mask, construct, require_validated,
                    validate)
 from .classify import is_mv
-from .induced import (_right_imp, _trivial, _validates, check_mtl_iso,
+from .induced import (_sides, _trivial, _validates, check_mtl_iso,
                       left_mult_algebra, right_mult_algebra)
 from .order import all_filters
-from .stabilizers import impl_left, impl_right, mult_left, mult_right
+from .stabilizers import impl_left, impl_right
 from .subsets import singleton
 from ._pool import pmap
 
@@ -438,11 +438,9 @@ def open3_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
     """
     findings = []
     for x in A.idempotents():
-        X = singleton(A, x)
-        left, right = mult_left(A, X), mult_right(A, X)
-        if _trivial(left) or _trivial(right) or not (
-                _validates(A, left, x, A.top, A.imp)
-                and _validates(A, right, A.bot, x, _right_imp(A, x, right))):
+        sides = _sides(A, x)
+        left, right = sides[0][1], sides[1][1]
+        if _trivial(left) or _trivial(right) or not all(_validates(*args) for args in sides):
             continue
         if len(left) != len(right) or check_mtl_iso(
                 left_mult_algebra(A, x).algebra,

@@ -7,12 +7,10 @@ from mtlstab import (NotALatticeError, Subset, all_nonempty_subsets, construct,
 from mtlstab.claims import _scan
 from mtlstab.core import require_validated
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture
-from mtlstab.induced import (_right_imp, check_mtl_iso, left_mult_algebra,
-                             right_mult_algebra)
+from mtlstab.induced import check_mtl_iso, left_mult_algebra, right_mult_algebra
 from mtlstab.search import (FAMILIES, SearchFinding, enumerate_all,
                             enumerate_chains, gen_family)
-from mtlstab.stabilizers import mult_left, mult_right
-from mtlstab.subsets import require_nonempty, singleton
+from mtlstab.subsets import require_nonempty
 
 # The corpora that the oracle tests sweep, one test id per source.
 ORACLE_SOURCES = (["fixtures", "families"]
@@ -137,14 +135,6 @@ def open3_scan_oracle(A):
                     "right-size": str(right.algebra.n),
                 }))
     return findings
-
-
-def induced_build_args(A, x):
-    """The `induced._build` arguments of left_mult_algebra(A, x) and of
-    right_mult_algebra(A, x), in that order."""
-    left, right = mult_left(A, singleton(A, x)), mult_right(A, singleton(A, x))
-    return ((A, left, x, A.top, A.imp),
-            (A, right, A.bot, x, _right_imp(A, x, right)))
 
 
 def full_scan_oracle(pred):

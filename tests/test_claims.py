@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -8,8 +9,9 @@ from itertools import product
 import pytest
 
 from conftest import (antitone_all_pairs_oracle, every_subset_oracle,
-                      full_scan_oracle, induced_build_args, open3_scan_oracle,
-                      oracle_corpus, relabel)
+                      full_scan_oracle, open3_scan_oracle, oracle_corpus,
+                      relabel)
+from mtlstab import core, induced
 from mtlstab import fixtures as fixtures_module
 from mtlstab import stabilizers
 from mtlstab import (Subset, all_filters, from_labels, generated_filter,
@@ -18,12 +20,16 @@ from mtlstab import (Subset, all_filters, from_labels, generated_filter,
 from mtlstab.claims import (
     REGISTRY,
     UnknownClaimError,
+    _DECISIONS,
+    _IDENTITIES,
+    _Rows,
     _antitone_check,
     _blind_to_generation,
     _cond_all_stabs_coann,
     _cond_left_of_generated,
     _cond_right_always_filter,
     _cross_route,
+    _identity_claim,
     _left_is_filter,
     _p344,
     _p347,
@@ -43,7 +49,7 @@ from mtlstab.claims import (
     verify_all,
     verify_claim,
 )
-from mtlstab.induced import _build, _validates
+from mtlstab.induced import _build, _sides, _validates, left_mult_algebra
 from mtlstab.search import (FAMILIES, enumerate_all, gen_family, open1_scan,
                             open2_premise, open3_scan)
 
@@ -302,6 +308,38 @@ def test_identity_claims_refute_a_corrupted_table(fixtures, claim_id, names, law
     # The row scans count the tuples a pointwise scan visits up to the witness.
     assert verify_claim(a4, claim_id).scope == _tuples_scanned(a4, names, law)
     assert outcome.scope == _tuples_scanned(B, names, law)
+
+
+def _identity_scan(claim_id):
+    """The row scan that explains a refuted identity claim: the claim with
+    a decision that never holds."""
+    _, names, law = _IDENTITIES[claim_id]
+    return _identity_claim(names, law, lambda R: False)
+
+
+def test_identity_decisions_match_row_scans_on_corrupted_tables(fixtures):
+    # One entry of one of the four tables changed, built directly as in
+    # test_properties: the bytes decision and the row scan give the same
+    # verdict, and the claim the scan's witness and scope (all tuples when
+    # it holds).
+    rng = random.Random(26)
+    algebras = list(fixtures.values()) + [gen_family(f, 9) for f in FAMILIES]
+    verdicts = Counter()
+    for _ in range(1200):
+        A = rng.choice(algebras)
+        name = rng.choice(("mul", "imp", "meet", "join"))
+        x, y = rng.randrange(A.n), rng.randrange(A.n)
+        rows = [list(row) for row in getattr(A, name)]
+        rows[x][y] = rng.choice([v for v in range(A.n) if v != rows[x][y]])
+        B = dataclasses.replace(A, **{name: tuple(map(tuple, rows))})
+        for claim_id, decide in _DECISIONS.items():
+            scan = _identity_scan(claim_id)(B)
+            assert decide(_Rows(B)) == scan[0], (B.name, name, x, y, claim_id)
+            assert REGISTRY[claim_id].check(B) == scan
+            verdicts[claim_id, scan[0]] += 1
+    for claim_id in _DECISIONS:
+        assert verdicts[claim_id, True] > 10 and verdicts[claim_id, False] > 10, \
+            (claim_id, verdicts)
 
 
 def _tuples_scanned(A, names, law):
@@ -573,7 +611,7 @@ def test_validates_decides_build_on_corrupted_masks():
         A = rng.choice(algebras)
         with _corrupted_masks(A, rng):
             for x in A.idempotents():
-                for args in induced_build_args(A, x):
+                for args in _sides(A, x):
                     verdict = _validates(*args)
                     assert verdict == _build(*args).ok, (A.name, x)
                     verdicts[verdict] += 1
@@ -681,6 +719,28 @@ def test_verify_hot_path_call_counts(monkeypatch):
         verify_all(A)
         assert counts["intersect"] <= intersections, (family, counts)
         assert counts["checked"] <= checked, (family, counts)
+
+
+def test_verify_all_builds_and_validates_no_algebra(monkeypatch):
+    # T4.7 and T4.8 decide by `induced._validates`, and a valid algebra
+    # gives `induced._build` no failure to explain; no claim validates.
+    algebras = [gen_family(f, 9) for f in FAMILIES] + [gen_family("godel", 64)]
+    calls = Counter()
+    for name, real in (("build", induced._build), ("validate", core.validate)):
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        for module in [m for key, m in sys.modules.items() if key.startswith("mtlstab")]:
+            for attr in [a for a, value in vars(module).items() if value is real]:
+                monkeypatch.setattr(module, attr, counting)
+    for A in algebras:
+        outcomes = {o.claim: o for o in verify_all(A)}
+        assert {outcomes[c].verdict for c in ("T4.7-left-alg", "T4.8-right-alg")} \
+            == {"holds"}, A.name
+        assert outcomes["T4.7-left-alg"].scope > 0, A.name
+    assert calls == {}
+    left_mult_algebra(algebras[0], algebras[0].bot)  # the counters count
+    assert calls == {"build": 1, "validate": 1}
 
 
 def test_p349_domain_finds_a_failing_pair_with_no_failing_member(diamond):

@@ -5,8 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import (ORACLE_SOURCES, induced_build_args, oracle_corpus,
-                      product_algebra, relabel)
+from conftest import ORACLE_SOURCES, oracle_corpus, product_algebra, relabel
 from mtlstab import (InternalConsistencyError, Subset, from_labels, mult_right,
                      singleton)
 from mtlstab.claims import verify_claim
@@ -14,6 +13,7 @@ from mtlstab.induced import (
     InducedAlgebra,
     _build,
     _right_imp,
+    _sides,
     _validates,
     NotIdempotentError,
     NotMvError,
@@ -23,6 +23,7 @@ from mtlstab.induced import (
     order_iso_right,
     right_mult_algebra,
 )
+from mtlstab.order import _first_escape
 from mtlstab.search import FAMILIES, gen_family
 
 
@@ -79,7 +80,7 @@ def test_validates_decides_build(source):
               else oracle_corpus(source))
     for A in corpus:
         for x in A.idempotents():
-            for args in induced_build_args(A, x):
+            for args in _sides(A, x):
                 assert _validates(*args) == _build(*args).ok, (A.name, x)
 
 
@@ -98,6 +99,23 @@ def test_validates_decides_build_on_every_carrier(fixtures):
                 assert verdict == _build(*args).ok, (A.name, x, bits)
                 verdicts[verdict] += 1
     assert verdicts[True] > 100 and verdicts[False] > 10000, verdicts
+
+
+def test_validates_needs_join_closure():
+    # In chain5_3 x chain5_3 this carrier is closed under mul and imp and has
+    # the constants and the bounds, but join(0a, a0) = aa and meet(ab, ba) =
+    # aa leave it.  Meet needs no conjunct of its own, join does.
+    chain = next(C for C in oracle_corpus("chains:5") if C.name == "chain5_3")
+    A = product_algebra(chain, chain)
+    carrier = from_labels(A, ("00", "0a", "0b", "11", "1c", "a0", "ab", "b0",
+                              "ba", "bb", "c1", "cc"))
+    assert _first_escape(carrier, (("mul", A.mul), ("imp", A.imp))) is None
+    left, right = A.index("00"), A.index("11")
+    for args in ((A, carrier, left, A.top, A.imp),
+                 (A, carrier, A.bot, right, _right_imp(A, right, carrier))):
+        assert not _validates(*args)
+        assert _build(*args).failure == {
+            "violation": "join(0a,a0)=aa leaves the carrier"}
 
 
 def test_non_idempotent_rejected(fixtures):

@@ -52,7 +52,7 @@ from .classify import (
 )
 from .induced import (
     _build,
-    _sides,
+    _side,
     _trivial,
     _validates,
     mv_left_iso,
@@ -584,7 +584,7 @@ def _induced_claim(side: int):
     def check(A):
         checked = 0
         for x in A.idempotents():
-            args = _sides(A, x)[side]
+            args = _side(A, x, side)
             if _trivial(args[1]):
                 continue
             checked += 1

@@ -132,18 +132,25 @@ def _right_imp(A: FiniteMtlAlgebra, x: int, carrier: Subset) -> dict[int, bytes]
     return {a: bytes(A.imp[a]).translate(by_x) for a in carrier.members()}
 
 
+def _side(A: FiniteMtlAlgebra, x: int, side: int) -> tuple:
+    """The `_build` arguments of left_mult_algebra(A, x) (side 0) or of
+    right_mult_algebra(A, x) (side 1); the carrier is x's one-point mask."""
+    carrier = Subset._of(A, A._fixed_masks(("mult_left", "mult_right")[side])[x])
+    if side:
+        return A, carrier, A.bot, x, _right_imp(A, x, carrier)
+    return A, carrier, x, A.top, A.imp
+
+
 def _sides(A: FiniteMtlAlgebra, x: int) -> tuple[tuple, tuple]:
-    """The `_build` arguments of left_mult_algebra(A, x) and of
-    right_mult_algebra(A, x): the carriers are x's one-point masks."""
-    left, right = (Subset._of(A, A._fixed_masks(k)[x]) for k in ("mult_left", "mult_right"))
-    return (A, left, x, A.top, A.imp), (A, right, A.bot, x, _right_imp(A, x, right))
+    """Both sides' `_build` arguments, left then right."""
+    return _side(A, x, 0), _side(A, x, 1)
 
 
 def left_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
     """The algebra on mult_left({x}) with bot = x, top = 1."""
     require_validated(A)
     _require_idempotent(A, x)
-    return _build(*_sides(A, x)[0])
+    return _build(*_side(A, x, 0))
 
 
 def right_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
@@ -151,7 +158,7 @@ def right_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:
     implication a ~> b = mul(x, imp(a, b))."""
     require_validated(A)
     _require_idempotent(A, x)
-    return _build(*_sides(A, x)[1])
+    return _build(*_side(A, x, 1))
 
 
 def order_iso_right(A: FiniteMtlAlgebra, x: int) -> dict[int, int]:

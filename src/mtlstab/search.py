@@ -6,11 +6,12 @@ through one step, `_checked`: `construct` on the chain labels, then
 `validate`.  The families are written in closed form, product and residuum
 side by side.
 
-Chains are built by Rees coextension, each size from the one below.  Every
-other bounded lattice, in natural labelling, gets one table search,
-`_tables_on_lattice`; on the n-chain alone it is the tests' second chain
-route.  Both keep tables monotone while filling and check associativity on
-finished ones; the lattice search also checks the residuum and prelinearity.
+Chains are built by Rees coextension, each size from the one below.  Full
+enumeration runs one table search, `_tables_on_lattice`, on each
+distributive bounded lattice in natural labelling, as MTL-algebras are
+subdirect products of chains; on the n-chain alone it is the tests' second
+chain route.  Both keep tables monotone while filling; the coextensions check
+associativity on finished tables, the lattice search row by row.
 
 The canonical form, which names and deduplicates enumerated algebras, is the
 lexicographically least table serialization over carrier relabellings fixing
@@ -32,7 +33,7 @@ from .core import (MAX_CARRIER, FiniteMtlAlgebra, NotALatticeError,
                    _derive_lattice, _mask, construct, require_validated,
                    validate)
 from .classify import is_mv
-from .induced import (_sides, _trivial, _validates, check_mtl_iso,
+from .induced import (_sides, _validates, check_mtl_iso,
                       left_mult_algebra, right_mult_algebra)
 from .order import all_filters
 from .stabilizers import impl_left, impl_right
@@ -115,15 +116,15 @@ def gen_family(family: str, n: int) -> FiniteMtlAlgebra:
 
 # ---------------------------------------------------------------------------
 # Enumeration: chains by Rees coextension, and one table search,
-# `_tables_on_lattice`, run on each bounded lattice.
+# `_tables_on_lattice`, run on each distributive bounded lattice.
 
-def _associative(mul: list, inner: range) -> bool:
-    """mul(mul(x, y), z) == mul(x, mul(y, z)) for x, y, z in `inner`."""
-    for x in inner:
+def _associative(mul: list, xs, ys, zs) -> bool:
+    """mul(mul(x, y), z) == mul(x, mul(y, z)) for x in xs, y in ys, z in zs."""
+    for x in xs:
         mx = mul[x]
-        for y in inner:
+        for y in ys:
             mxy, my = mul[mx[y]], mul[y]
-            for z in inner:
+            for z in zs:
                 if mxy[z] != mx[my[z]]:
                     return False
     return True
@@ -138,7 +139,7 @@ def _coextensions(mul: tuple) -> list[tuple]:
     from the lower bound max(mul(x-1, y), mul(x, y-1)), so the atom products
     form an upset; on a chain, monotone and associative tables are MTL.
     """
-    top = len(mul)
+    top, inner = len(mul), range(1, len(mul))
     new = [[0] * (top + 1)] + [[0] + [c and c + 1 for c in row] for row in mul]
     new[top][1] = new[1][top] = 1
     free = [(x, y) for x in range(1, top) for y in range(x, top) if not new[x][y]]
@@ -146,7 +147,7 @@ def _coextensions(mul: tuple) -> list[tuple]:
 
     def fill(k: int) -> None:
         if k == len(free):
-            if _associative(new, range(1, top)):
+            if _associative(new, inner, inner, inner):
                 out.append(tuple(map(tuple, new)))
             return
         x, y = free[k]
@@ -197,6 +198,20 @@ def _bounded_lattices(n: int) -> list[tuple]:
     return lattices
 
 
+def _distributive(n: int, lattice: tuple) -> bool:
+    """meet(x, join(y, z)) == join(meet(x, y), meet(x, z)) for all x, y, z.
+    Per x, with m = meet(x, -) as bytes, the left side is the flat join table
+    translated by m, and row y of the right side is m translated by join[m[y]]."""
+    meet, join = lattice
+    pad = bytes(256 - n)
+    flat = b"".join(map(bytes, join))
+    rows = [bytes(row) + pad for row in join]
+    for mx in map(bytes, meet):
+        if flat.translate(mx + pad) != b"".join([mx.translate(rows[a]) for a in mx]):
+            return False
+    return True
+
+
 def _tables_on_lattice(n: int, lattice: tuple) -> list[tuple]:
     """(mul, imp) of every MTL-algebra on a naturally labelled lattice, given
     as its (meet, join) pair.
@@ -207,8 +222,12 @@ def _tables_on_lattice(n: int, lattice: tuple) -> list[tuple]:
     covered by i and mul(i, q) for q covered by j are already decided, and
     the value must lie between their join and meet(i, j).  The order is the
     transitive closure of its covers, so every finished table is monotone.
-    Associativity, the residuum max{z | mul(x, z) <= y} and prelinearity
-    are checked on finished tables.
+    Once row i is decided, associativity is checked on the inner triples
+    (i, y, z) with z < i: commutativity covers (z, y, i) and makes (i, y, i)
+    hold, as (iy)i = i(iy) = i(yi).  Rows and columns 1..i are then decided,
+    and each read lies in one: iy and i(yz) in row i, yz and (iy)z in column
+    z (natural labelling also gives iy <= meet(i, y) <= i).  The residuum
+    max{z | mul(x, z) <= y} and prelinearity are checked on finished tables.
     """
     meet, join = lattice
     top = n - 1
@@ -224,14 +243,13 @@ def _tables_on_lattice(n: int, lattice: tuple) -> list[tuple]:
     entries = [(i, j) for i in inner for j in range(i, top)]
     below = [[(p, j) for p in covers[i]] + [(i, q) for q in covers[j]]
              for i, j in entries]
+    row_ends = {k + 1: i for k, (i, j) in enumerate(entries) if j == top - 1}
     mul = [[0] * n for _ in rng]
     for j in rng:
         mul[top][j] = mul[j][top] = j
     out = []
 
     def finish() -> None:
-        if not _associative(mul, inner):
-            return
         imp = []
         for x in rng:
             mx = mul[x]
@@ -253,6 +271,9 @@ def _tables_on_lattice(n: int, lattice: tuple) -> list[tuple]:
         out.append((tuple(map(tuple, mul)), tuple(imp)))
 
     def fill(k: int) -> None:
+        i = row_ends.get(k)
+        if i and not _associative(mul, (i,), inner, range(1, i)):
+            return
         if k == len(entries):
             finish()
             return
@@ -365,7 +386,7 @@ def enumerate_all(n: int, jobs: int = 1, allow_large: bool = False,
     cap = FULL_MAX_OPTIN if allow_large else FULL_MAX
     if not 2 <= n <= cap:
         raise SizeRangeError(f"full enumeration supports sizes 2..{cap}")
-    lattices = _bounded_lattices(n)
+    lattices = [L for L in _bounded_lattices(n) if _distributive(n, L)]
     chunks = pmap(partial(_tables_on_lattice, n), lattices, jobs)
     seen: dict[bytes, FiniteMtlAlgebra] = {}
     plain: list[FiniteMtlAlgebra] = []
@@ -431,17 +452,19 @@ def open2_scan(corpus) -> list[SearchFinding]:
 def open3_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
     """Idempotents whose two induced stabilizer algebras are not isomorphic.
 
-    Both carriers, mult_left({x}) and mult_right({x}), come from the one-point
-    masks, and x is skipped when one is trivial or, by `induced._validates`,
-    would not validate (a T4.7/T4.8 refutation instead).  Carriers of
-    different sizes are a finding at once; only equal sizes are built.
+    Both carriers, mult_left({x}) and mult_right({x}), are x's one-point
+    masks; x is skipped when one is trivial (read before anything is built)
+    or, by `induced._validates`, would not validate (a T4.7/T4.8 refutation
+    instead).  Different sizes are a finding at once; only equal ones are built.
     """
     findings = []
     for x in A.idempotents():
-        sides = _sides(A, x)
-        left, right = sides[0][1], sides[1][1]
-        if _trivial(left) or _trivial(right) or not all(_validates(*args) for args in sides):
+        if any(A._fixed_masks(k)[x].bit_count() < 2 for k in ("mult_left", "mult_right")):
             continue
+        sides = _sides(A, x)
+        if not all(_validates(*args) for args in sides):
+            continue
+        left, right = sides[0][1], sides[1][1]
         if len(left) != len(right) or check_mtl_iso(
                 left_mult_algebra(A, x).algebra,
                 right_mult_algebra(A, x).algebra) is None:

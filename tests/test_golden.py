@@ -21,6 +21,7 @@ import pytest
 
 from mtlstab.cli import cli_main
 from mtlstab.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
+from mtlstab.search import enumerate_all
 
 GOLDEN = Path(__file__).parent / "golden"
 FAMILIES = ("lukasiewicz", "godel", "nilpotent_minimum")
@@ -169,6 +170,47 @@ def test_chain_enumeration_bytes_are_pinned(size, tmp_path, monkeypatch):
     got = (sha256(report.encode("utf-8")).hexdigest(),
            sha256(Path("F").read_bytes()).hexdigest())
     assert got == CHAIN_DIGESTS[size]
+
+
+# SHA-256 of the `enumerate --size k --out F --format machine` report and
+# of the corpus file F, and of `enumerate_all(6)` with and without dedup,
+# recorded before the table search skipped the non-distributive lattices
+# and checked associativity row by row.  A class keeps the first table
+# found as its representative, so these catch any change in the order of
+# lattices or of the search.
+ENUM_DIGESTS = {
+    2: ("48067dab91dbc5af95e14ce3414ce991a9cfad78f5d37e5f43e9d1b63b78c158",
+        "750dfa840c19dd5197fa9fc1dc23243428213aaafb1fa4ebac342888dafe2d1e"),
+    3: ("f617849cba7b2ae3fd568ac5e10d27b6e200b5975025858fa5facfce8556c74a",
+        "97f10be8ca28f7803bc3be9683f64943725c16bf757ed87c80ca05d8e8a99f26"),
+    4: ("303be08c2ee59a4f9ef4729d48520ca10afb970a8cfbb2190f09d10a80b19b59",
+        "e42c57f73bd8ae2504991d08cd83f108b77d905d725f75c2b370fd9525210ccc"),
+    5: ("927a9accc33345e66ddebcdb41831ebb2287aa95612da7f2d98fadbe987eda72",
+        "4454d0d4ca74b54231c25bc85c8f2c793e27d4465f37509e562b27a7ec3c5b9d"),
+}
+ENUM6_DIGESTS = {
+    True: (99, "9cf6abf235c27a3bbc86e50a5ce14f9ebc706c0affd519d0e2123a861f2c786b"),
+    False: (108, "63a87c80c43d84539f47740833f89f1a586ac179e71dc526762956e6a9f7592b"),
+}
+
+
+@pytest.mark.parametrize("size", sorted(ENUM_DIGESTS))
+def test_full_enumeration_bytes_are_pinned(size, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names the --out path
+    report = _machine_stdout(["enumerate", "--size", str(size), "--out", "F"])
+    got = (sha256(report.encode("utf-8")).hexdigest(),
+           sha256(Path("F").read_bytes()).hexdigest())
+    assert got == ENUM_DIGESTS[size]
+
+
+@pytest.mark.parametrize("dedup", [True, False])
+def test_enumerate_all_6_is_pinned(dedup):
+    # names, labels, bot, top, mul and imp of every algebra, in order
+    algebras = enumerate_all(6, allow_large=True, dedup=dedup)
+    digest = sha256()
+    for A in algebras:
+        digest.update(repr((A.name, A.labels, A.bot, A.top, A.mul, A.imp)).encode())
+    assert (len(algebras), digest.hexdigest()) == ENUM6_DIGESTS[dedup]
 
 
 def _record() -> None:

@@ -24,6 +24,7 @@ from mtlstab.search import (
     UnknownFamilyError,
     _bounded_lattices,
     _chain,
+    _distributive,
     _tables_on_lattice,
     canonical_form,
     enumerate_all,
@@ -185,6 +186,31 @@ def test_bounded_lattices_match_the_oracle(n):
         except NotALatticeError:
             continue
     assert _bounded_lattices(n) == expected
+
+
+def literally_distributive(n, lattice):
+    meet, join = lattice
+    return all(meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+               for x, y, z in product(range(n), repeat=3))
+
+
+def test_distributive_matches_the_triple_loop():
+    # (lattices, distributive ones) among the labelled bounded lattices
+    counts = {2: (1, 1), 3: (1, 1), 4: (2, 2), 5: (7, 3), 6: (39, 9), 7: (320, 16)}
+    for n, count in counts.items():
+        lattices = _bounded_lattices(n)
+        verdicts = [_distributive(n, L) for L in lattices]
+        assert verdicts == [literally_distributive(n, L) for L in lattices], n
+        assert (len(lattices), sum(verdicts)) == count
+
+
+def test_no_table_on_a_non_distributive_lattice():
+    # enumerate_all skips these lattices: every MTL-algebra is a subdirect
+    # product of chains, so its lattice is distributive.
+    skipped = [(n, L) for n in range(2, 7) for L in _bounded_lattices(n)
+               if not literally_distributive(n, L)]
+    assert len(skipped) == 34
+    assert all(_tables_on_lattice(n, L) == [] for n, L in skipped)
 
 
 def naive_algebras(n):

@@ -125,7 +125,8 @@ def _identity_claim(names: str, row, decide):
     over the carrier: decided on bytes rows, scanned only to explain a failure."""
     def check(A):
         ranges = [A.idempotents() if v == "e" else range(A.n) for v in names]
-        if decide(_Rows(A)):
+        cache = A._mask_cache()  # one `_Rows` per algebra serves every identity
+        if decide(cache.get("rows") or cache.setdefault("rows", _Rows(A))):
             return True, None, prod(map(len, ranges))
         return _row_scan(A, names, product(*ranges[:-1]), row)
     return check
@@ -336,10 +337,12 @@ class _Rows:
     """A's tables as bytes, as `core._rows_hold` reads them: meet, join, mul,
     imp and cols (imp's columns) padded to 256-byte `translate` tables; m, j,
     p and i the n^2 entries, (x, y) at x n + y, and X and Y the x and y.  So
-    r.translate(s) == over(t, r) says r(s(a, b)) == t(r(a), r(b))."""
+    r.translate(s) == over(t, r) says r(s(a, b)) == t(r(a), r(b)).  It keeps
+    bot, top and the idempotents, not A, so A's cache holds it with no cycle."""
 
     def __init__(self, A: FiniteMtlAlgebra):
-        self.A, self.n, self.pad = A, A.n, bytes(256 - A.n)
+        self.n, self.bot, self.top, self.pad = A.n, A.bot, A.top, bytes(256 - A.n)
+        self.idempotents = A.idempotents()
         rows = [list(map(bytes, t)) for t in (A.meet, A.join, A.mul, A.imp)]
         self.m, self.j, self.p, self.i = map(b"".join, rows)
         rows.append([self.i[y::A.n] for y in range(A.n)])  # imp's columns
@@ -357,7 +360,7 @@ class _Rows:
 
 # Each identity decided on the tuples its scan reads; cols[bot] is neg.
 _DECISIONS = {
-    "P2.2.1": lambda R: bytes(map(eq, R.m, R.X)) == R.i.translate(_flag(R.A.top)),
+    "P2.2.1": lambda R: bytes(map(eq, R.m, R.X)) == R.i.translate(_flag(R.top)),
     "P2.2.2": lambda R: R.at(R.meet, R.p, R.m) == R.p,
     "P2.2.3": lambda R: all(R.m.translate(r) == R.over(R.meet, r) for r in R.imp),
     "P2.2.4": lambda R: all(R.j.translate(c) == R.over(R.meet, c) for c in R.cols),
@@ -367,13 +370,13 @@ _DECISIONS = {
     "P2.2.8": lambda R: R.j == R.at(R.meet, R.at(R.imp, R.i, R.Y),
                                     R.at(R.imp, R.at(R.imp, R.Y, R.X), R.X)),
     "P2.2.9": lambda R: R.at(R.meet, R.X, R.at(R.imp, R.Y, R.X)) == R.X,
-    "P2.2.10": lambda R: (neg := R.cols[R.A.bot])[:R.n]
+    "P2.2.10": lambda R: (neg := R.cols[R.bot])[:R.n]
     == neg[:R.n].translate(neg).translate(neg),
-    "P2.2.11": lambda R: bytes(map(getitem, R.mul, R.cols[R.A.bot]))
-    == bytes((R.A.bot,)) * R.n,
+    "P2.2.11": lambda R: bytes(map(getitem, R.mul, R.cols[R.bot]))
+    == bytes((R.bot,)) * R.n,
     "P2.2.12": lambda R: R.at(R.meet, R.X, R.at(R.imp, R.i, R.Y)) == R.X,
     "P2.4.2": lambda R: all(R.i.translate(e) == R.over(R.imp, e).translate(e)
-                            for e in map(R.mul.__getitem__, R.A.idempotents())),
+                            for e in map(R.mul.__getitem__, R.idempotents)),
 }
 
 

@@ -14,7 +14,7 @@ later operation is a plain table lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, product
 from operator import getitem
 
@@ -81,8 +81,8 @@ class FiniteMtlAlgebra:
     def idempotents(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.n) if self.mul[x][x] == x)
 
-    # Lazily built per-element bitmask caches, ints only.  The tables are
-    # read-only after validate(), so the masks never go stale.
+    # Lazily built caches, per-element bitmasks and the claims' `_Rows`; none
+    # refers back to the algebra, and as the tables are read-only none goes stale.
     def _mask_cache(self) -> dict:
         cache = self.__dict__.get("_masks")
         if cache is None:
@@ -306,30 +306,53 @@ _LAWS = {
 AXIOMS = tuple(_LAWS)
 
 
+def _semigroup_rows(table: Table, pad: bytes):
+    """table's rows as bytes, flat, and padded to 256-byte `translate` tables,
+    if it commutes and (xy)z == x(yz) for every y and z at once, x by x."""
+    rows = list(map(bytes, table))
+    flat, padded = b"".join(rows), [r + pad for r in rows]
+    if table == tuple(zip(*table)) and \
+            b"".join(map(rows.__getitem__, flat)) == b"".join(map(flat.translate, padded)):
+        return rows, flat, padded
+    return None
+
+
+@lru_cache(maxsize=1)
+def _lattice_rows(meet: Table, join: Table, bot: int, top: int):
+    """The join rows and the upset rows (byte z of up[x] is 1 when x <= z),
+    if meet and join commute, associate and absorb, with bounds bot and top;
+    else None.  These six laws read nothing else, so one entry, keyed by
+    these values, decides them once per lattice of an enumeration."""
+    n = len(meet)
+    pad, ident = bytes(256 - n), bytes(range(n))
+    if (m := _semigroup_rows(meet, pad)) and (j := _semigroup_rows(join, pad)):
+        (meet, _, meet_pad), (join, _, join_pad) = m, j
+        if (meet[bot] == bytes((bot,)) * n and join[top] == bytes((top,)) * n
+                and meet[top] == join[bot] == ident  # bounds
+                and b"".join(map(bytes.translate, join, meet_pad))  # absorption
+                == b"".join(map(bytes.translate, meet, join_pad)) == bytes(sorted(ident * n))):
+            return tuple(join), tuple(map(bytes.translate, meet, map(_flag, range(n))))
+    return None
+
+
 def _rows_hold(A: FiniteMtlAlgebra) -> bool:
     """Whether all twelve laws hold, decided on bytes rows.  A row padded to
     256 bytes is a `translate` table, so one C-level call applies an
-    element's row to a whole row or table: O(n) calls on at most n^3 bytes."""
-    n, bot, top = A.n, A.bot, A.top
-    pad, ident = bytes(256 - n), bytes(range(n))
-    meet, join, mul, imp = rows = [list(map(bytes, t)) for t in (A.meet, A.join, A.mul, A.imp)]
-    flat = [b"".join(t) for t in rows]
-    padded = [[r + pad for r in t] for t in rows[:3]]
-    for table, t, f, p in zip((A.meet, A.join, A.mul), rows, flat, padded):
-        # commutative, and (xy)z == x(yz) for every y and z at once, x by x
-        if table != tuple(zip(*table)) or \
-                b"".join(map(t.__getitem__, f)) != b"".join(map(f.translate, p)):
-            return False
-    up = list(map(bytes.translate, meet, map(_flag, range(n))))  # up[x][z]: x <= z
-    return (meet[bot] == bytes((bot,)) * n and join[top] == bytes((top,)) * n  # bounds
-            and meet[top] == join[bot] == mul[top] == ident  # bounds, unit
-            and b"".join(map(bytes.translate, join, padded[0]))  # absorption
-            == b"".join(map(bytes.translate, meet, padded[1])) == bytes(sorted(ident * n))
-            and b"".join(up) == flat[3].translate(_flag(top))  # order consistency
-            and {top} == set(map(getitem, map(join.__getitem__, flat[3]),  # prelinearity
+    element's row to a whole row or table: O(n) calls on at most n^3 bytes.
+    The six lattice laws come from `_lattice_rows`, whose one entry is
+    enough as enumerators hand over their tables lattice by lattice; the
+    six that read mul or imp are decided on every call."""
+    n, top, pad = A.n, A.top, bytes(256 - A.n)
+    lattice, monoid = _lattice_rows(A.meet, A.join, A.bot, top), _semigroup_rows(A.mul, pad)
+    if lattice is None or monoid is None:
+        return False
+    (join, up), (mul, flat_mul, _), imp = lattice, monoid, b"".join(map(bytes, A.imp))
+    return (mul[top] == bytes(range(n))  # unit
+            and b"".join(up) == imp.translate(_flag(top))  # order consistency
+            and {top} == set(map(getitem, map(join.__getitem__, imp),  # prelinearity
                                  chain.from_iterable(zip(*A.imp))))
-            and b"".join(map(up.__getitem__, flat[2]))  # adjointness
-            == b"".join([flat[3].translate(u + pad) for u in up]))
+            and b"".join(map(up.__getitem__, flat_mul))  # adjointness
+            == b"".join([imp.translate(u + pad) for u in up]))
 
 
 def _violations(A: FiniteMtlAlgebra):
@@ -345,6 +368,9 @@ def validate(A: FiniteMtlAlgebra) -> ValidationReport:
     The rows decide and the loop explains: `_rows_hold` settles all twelve
     laws with bytes row compares, and only when one fails does the per-tuple
     loop `_violations` run, listing every violation with its witness.
+    The lattice laws (meet and join commute, associate and absorb; bounds)
+    come from a one-entry memo keyed by meet, join, bot and top, which
+    every table after a lattice's first hits; the rest run on every call.
     Failures are reported, never raised; a valid result flips the algebra's
     `validated` flag, after which the value is immutable and safe to share.
     """

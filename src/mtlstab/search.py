@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
 
 from .core import (MAX_CARRIER, FiniteMtlAlgebra, NotALatticeError,
@@ -62,6 +62,7 @@ class SearchFinding:
     witness: dict[str, str]
 
 
+@cache
 def _chain_labels(n: int) -> tuple[str, ...]:
     """0, the interior a..x, a1..x1, a2.. in that order, then 1."""
     interior = [chr(ord("a") + i % 24) + (str(i // 24) if i >= 24 else "")

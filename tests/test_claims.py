@@ -11,6 +11,7 @@ import pytest
 from conftest import (antitone_all_pairs_oracle, every_subset_oracle,
                       full_scan_oracle, open3_scan_oracle, oracle_corpus,
                       relabel)
+from mtlstab import claims as claims_module
 from mtlstab import core, induced
 from mtlstab import fixtures as fixtures_module
 from mtlstab import stabilizers
@@ -741,6 +742,24 @@ def test_verify_all_builds_and_validates_no_algebra(monkeypatch):
     assert calls == {}
     left_mult_algebra(algebras[0], algebras[0].bot)  # the counters count
     assert calls == {"build": 1, "validate": 1}
+
+
+def test_verify_all_builds_one_rows_per_algebra(monkeypatch):
+    # The 13 identity claims share one `_Rows`, kept in the mask cache; it
+    # holds no reference to the algebra, so the cache makes no cycle.
+    builds = Counter()
+
+    class CountingRows(_Rows):
+        def __init__(self, A):
+            builds[A.name] += 1
+            super().__init__(A)
+
+    monkeypatch.setattr(claims_module, "_Rows", CountingRows)
+    for A in (gen_family("godel", 9), gen_family("godel", 64)):
+        verify_all(A)
+        verify_all(A)
+        assert builds[A.name] == 1, builds
+        assert not any(value is A for value in vars(A._mask_cache()["rows"]).values())
 
 
 def test_p349_domain_finds_a_failing_pair_with_no_failing_member(diamond):

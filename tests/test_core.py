@@ -20,7 +20,7 @@ from mtlstab import (
     replay_violation,
     validate,
 )
-from mtlstab.core import _derive_lattice, _rows_hold, _violations
+from mtlstab.core import _derive_lattice, _lattice_rows, _rows_hold, _violations
 from mtlstab.fixtures import load_fixture_raw
 from mtlstab.search import FAMILIES, enumerate_all, enumerate_chains, gen_family
 
@@ -170,15 +170,51 @@ def test_row_pass_accepts_products_and_64_element_chains(small_corpus):
         assert validate(A).valid
 
 
-def test_row_pass_agrees_with_the_laws_on_every_mutation():
+def _mutation_corpus():
     corpus = [A for n in range(2, 6) for A in enumerate_all(n)]
-    corpus += enumerate_chains(6) + [_moved(A, 7) for A in enumerate_all(4)]
+    return corpus + enumerate_chains(6) + [_moved(A, 7) for A in enumerate_all(4)]
+
+
+def test_row_pass_agrees_with_the_laws_on_every_mutation():
     checked = 0
-    for A in corpus:
+    for A in _mutation_corpus():
         for B in _mutants(A):
             assert _rows_hold(B) == _laws_hold(B), (B.name, B)
             checked += 1
     assert checked == 115_617
+
+
+def test_warm_lattice_memo_still_decides_the_bounds():
+    # `_lattice_rows` keeps the last lattice it decided.  Straight after A
+    # warms it, each move of bot or top keeps A's meet and join, so a memo
+    # keyed on those alone would hand back A's verdict on the bounds.
+    corpus, checked = _mutation_corpus(), 0
+    for A in corpus:
+        for v in range(A.n):
+            for B in (replace(A, bot=v), replace(A, top=v)):
+                if B != A:
+                    assert _rows_hold(A)
+                    assert _rows_hold(B) == _laws_hold(B), (A.name, B.bot, B.top)
+                    checked += 1
+    assert checked == 2 * sum(A.n - 1 for A in corpus)
+
+
+def test_lattice_memo_keeps_no_verdict_on_mul_or_imp():
+    # On a fixed lattice mul and imp fix each other, so every mutant of one
+    # fails.  Unit and order consistency each follow from the other and
+    # adjointness, so a memo that kept either on A's lattice would still
+    # reject every mutant; it shows when a mutant fills the memo and A
+    # comes next.
+    checked = 0
+    for A in _mutation_corpus():
+        lattice = (A.meet, A.join, A.bot, A.top)
+        for B in _mutants(A):
+            if (B.meet, B.join, B.bot, B.top) == lattice:
+                _lattice_rows.cache_clear()
+                assert not _rows_hold(B)
+                assert _rows_hold(A), (A.name, B)
+                checked += 1
+    assert checked == 58_065
 
 
 def test_table_errors_name_the_first_bad_entry():

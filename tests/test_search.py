@@ -1,6 +1,7 @@
 import os
 import random
 import time
+from collections import Counter
 from functools import partial
 from itertools import product
 
@@ -14,7 +15,7 @@ from mtlstab import (all_filters, all_nonempty_subsets, full, impl_left,
 from mtlstab import _pool, induced, search
 from mtlstab.classify import is_bl, is_chain, is_godel, is_imtl, is_mv
 from mtlstab.core import (LatticeMismatchError, NotALatticeError,
-                          NotValidatedError, construct, validate)
+                          NotValidatedError, _lattice_rows, construct, validate)
 from mtlstab.fixtures import FIXTURE_NAMES, load_fixture, load_fixture_raw
 from mtlstab.induced import check_mtl_iso
 from mtlstab.search import (
@@ -119,30 +120,47 @@ def test_chain_class_counts():
 
 
 def test_enumeration_revalidation_catches_a_broken_table(monkeypatch):
-    # Every emitted table is validated again.  The last coextension level
-    # yields a monotone table with a*b = b*b = a, so (a*b)*b = a but
-    # a*(b*b) = 0.  On the lattices, mul(a, b) = mul(b, a) raised to top, imp
-    # left as it was, breaks associativity at (a, a, b).
+    # Every emitted table is validated again, also after a valid table on
+    # the same lattice has warmed the lattice memo.  The last coextension
+    # level adds a monotone table with a*b = b*b = a, so (a*b)*b = a but
+    # a*(b*b) = 0; the Lukasiewicz 4-chain sorts before it.  On the first
+    # lattice, a copy of its first table with mul(a, b) = mul(b, a) raised
+    # to top, imp left as it was, breaks associativity at (a, a, b).
     real_coextensions, real_tables = search._coextensions, search._tables_on_lattice
     not_associative = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 2, 3))
 
     def broken_coextensions(mul):
-        return [not_associative] if len(mul) == 3 else real_coextensions(mul)
+        tables = real_coextensions(mul)
+        return tables + [not_associative] if len(mul) == 3 else tables
 
     def broken_tables(n, lattice):
         mul, imp = real_tables(n, lattice)[0]
-        mul = [list(row) for row in mul]
-        mul[1][2] = mul[2][1] = n - 1
-        return [(mul, imp)]
+        broken = [list(row) for row in mul]
+        broken[1][2] = broken[2][1] = n - 1
+        return [(mul, imp), (broken, imp)]
 
     monkeypatch.setattr(search, "_coextensions", broken_coextensions)
     monkeypatch.setattr(search, "_tables_on_lattice", broken_tables)
-    with pytest.raises(AssertionError, match=r"^enumerated chain failed"
-                       r" validation: \('monoid\.assoc', \(1, 2, 2\)\)"):
-        enumerate_chains(4)
-    with pytest.raises(AssertionError, match=r"^enumerated algebra failed"
-                       r" validation: \('monoid\.assoc', \(1, 1, 2\)\)"):
-        enumerate_all(4)
+    for enumerate_, witness in ((enumerate_chains, r"chain failed validation:"
+                                 r" \('monoid\.assoc', \(1, 2, 2\)\)"),
+                                (enumerate_all, r"algebra failed validation:"
+                                 r" \('monoid\.assoc', \(1, 1, 2\)\)")):
+        _lattice_rows.cache_clear()
+        with pytest.raises(AssertionError, match="^enumerated " + witness):
+            enumerate_(4)
+        assert _lattice_rows.cache_info().hits >= 1  # the broken table hit
+
+
+def test_enumeration_validates_every_table(monkeypatch):
+    calls = Counter()
+
+    def counting(A):
+        calls[A.n] += 1
+        return validate(A)
+
+    monkeypatch.setattr(search, "validate", counting)
+    assert len(enumerate_chains(6)) == calls[6] == 94
+    assert len(enumerate_all(5, dedup=False)) == calls[5]
 
 
 def test_enumerate_all_small_sizes(diamond):

@@ -4,10 +4,11 @@ Every claim has a stable id and is checked against a concrete algebra by
 quantifier scan: subsets ascending by bit pattern, element tuples in
 lexicographic order, so refutation witnesses are deterministic.  Identities
 are decided on bytes rows and induced algebras by `induced._validates`; the
-scan or the build runs only to explain a failure.  A claim on all 2^n - 1
-subsets scans a small domain that holds a failing X whenever any subset
-fails, as each domain's docstring proves, mostly from each stabilizer value
-being the intersection of its members' one-point values.  Claims with a
+tuple scan or the build runs only to explain a failure.  A claim on all
+2^n - 1 subsets scans a small domain that holds a failing X whenever any
+subset fails, as each domain's docstring proves, mostly from each stabilizer
+value being the intersection of its members' one-point values; domains that
+need those values read the cached one-point masks.  Claims with a
 hypothesis (BL-only, MV-only, idempotent-only) come back `not-applicable`
 when the hypothesis fails, never vacuously `holds`, so corpus statistics
 separate verified from untested.
@@ -18,10 +19,11 @@ regression runs alert when an expected refutation disappears.  One entry
 (P4.3.11) references an operator that has no definition for proper subsets
 and is registered as not evaluable.
 
-Claims read stabilizers, filters and ideals from the library operators.  The
-second, independent route to the same sets lives in `_cross_route`: P3.4.1
-and P4.3.1 evaluate the literal element-by-element definitions there and
-compare them with the bitmask operators on each one-point set.
+Claims read stabilizers of sets, filters and ideals from the library
+operators.  The second, independent route to the same sets lives in
+`_cross_route`: P3.4.1 and P4.3.1 evaluate the literal element-by-element
+definitions there and compare them with the bitmask operators on each
+one-point set.
 """
 
 from __future__ import annotations
@@ -106,29 +108,19 @@ class Claim:
 # ---------------------------------------------------------------------------
 # Check builders.
 
-def _row_scan(A, names: str, prefixes, row):
-    """row(A, *p, E) gives a law's truth at each last element in the carrier
-    E, for each prefix p in order; the witness names the first failing tuple
-    by `names`, and the scope counts the tuples up to it, or all of them."""
-    count, E = 0, range(A.n)
-    for prefix in prefixes:
-        truth = row(A, *prefix, E)
-        if not all(truth):
-            tup = (*prefix, truth.index(False))
-            return False, {v: A.labels[t] for v, t in zip(names, tup)}, count + tup[-1] + 1
-        count += A.n
-    return True, None, count
-
-
-def _identity_claim(names: str, row, decide):
+def _identity_claim(names: str, law, decide):
     """A law on each tuple of `names`, e over the idempotents and the rest
-    over the carrier: decided on bytes rows, scanned only to explain a failure."""
+    over the carrier: decided on bytes rows.  Only to explain a failure are
+    the tuples scanned in lexicographic order; the first failing one is the
+    witness and its 1-based position the scope, else the scope counts them all."""
     def check(A):
         ranges = [A.idempotents() if v == "e" else range(A.n) for v in names]
         cache = A._mask_cache()  # one `_Rows` per algebra serves every identity
-        if decide(cache.get("rows") or cache.setdefault("rows", _Rows(A))):
-            return True, None, prod(map(len, ranges))
-        return _row_scan(A, names, product(*ranges[:-1]), row)
+        if not decide(cache.get("rows") or cache.setdefault("rows", _Rows(A))):
+            for i, tup in enumerate(product(*ranges), 1):
+                if not law(A, *tup):
+                    return False, {v: A.labels[t] for v, t in zip(names, tup)}, i
+        return True, None, prod(map(len, ranges))
     return check
 
 
@@ -296,40 +288,37 @@ def _subalgebra_witness(A, S: Subset):
 
 # -- basic identities -------------------------------------------------------
 
-# Prop. 2.2 and the center identity as (statement, variables, law): the law
-# on A, a tuple but its last element, and the carrier E is its truth at each
-# last element in E.  Items 1-10 of Prop. 2.2 are the MTL laws of Esteva and
-# Godo; 11 and 12 are cited in the surrounding development but absent from
-# that list of ten.
+# Prop. 2.2 and the center identity as (statement, variables, law), the law
+# on A and an element tuple as in `core._LAWS`.  Items 1-10 of Prop. 2.2 are
+# the MTL laws of Esteva and Godo; 11 and 12 are cited in the surrounding
+# development but absent from that list of ten.
 _IDENTITIES = {
-    "P2.2.1": ("x <= y exactly when imp(x, y) is top", "xy", lambda A, x, E:
-               [(A.meet[x][y] == x) == (A.imp[x][y] == A.top) for y in E]),
-    "P2.2.2": ("mul(x, y) lies below meet(x, y)", "xy", lambda A, x, E:
-               [A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y] for y in E]),
-    "P2.2.3": ("imp distributes over meet on the right", "xyz", lambda A, x, y, E:
-               [A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]] for z in E]),
-    "P2.2.4": ("imp turns join on the left into meet", "xyz", lambda A, x, y, E:
-               [A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]] for z in E]),
-    "P2.2.5": ("imp(x, y) equals imp(x, meet(x, y))", "xy", lambda A, x, E:
-               [A.imp[x][y] == A.imp[x][A.meet[x][y]] for y in E]),
-    "P2.2.6": ("imp(x, y) equals imp(join(x, y), y)", "xy", lambda A, x, E:
-               [A.imp[x][y] == A.imp[A.join[x][y]][y] for y in E]),
-    "P2.2.7": ("imp turns meet on the left into join", "xyz", lambda A, x, y, E:
-               [A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]] for z in E]),
-    "P2.2.8": ("join is recovered from double residuation", "xy", lambda A, x, E:
-               [A.join[x][y] == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]
-                for y in E]),
-    "P2.2.9": ("x lies below imp(y, x)", "xy", lambda A, x, E:
-               [A.meet[x][A.imp[y][x]] == x for y in E]),
-    "P2.2.10": ("triple negation collapses to single negation", "x", lambda A, E:
-                [A.imp[x][A.bot] == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot] for x in E]),
-    "P2.2.11": ("an element times its negation is bot", "x", lambda A, E:
-                [A.mul[x][A.imp[x][A.bot]] == A.bot for x in E]),
-    "P2.2.12": ("x lies below imp(imp(x, y), y)", "xy", lambda A, x, E:
-                [A.meet[x][A.imp[A.imp[x][y]][y]] == x for y in E]),
-    "P2.4.2": ("center members commute with residuation", "exy", lambda A, e, x, E:
-               [A.mul[e][A.imp[x][y]] == A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]]
-                for y in E]),
+    "P2.2.1": ("x <= y exactly when imp(x, y) is top", "xy", lambda A, x, y:
+               (A.meet[x][y] == x) == (A.imp[x][y] == A.top)),
+    "P2.2.2": ("mul(x, y) lies below meet(x, y)", "xy", lambda A, x, y:
+               A.meet[A.mul[x][y]][A.meet[x][y]] == A.mul[x][y]),
+    "P2.2.3": ("imp distributes over meet on the right", "xyz", lambda A, x, y, z:
+               A.imp[x][A.meet[y][z]] == A.meet[A.imp[x][y]][A.imp[x][z]]),
+    "P2.2.4": ("imp turns join on the left into meet", "xyz", lambda A, x, y, z:
+               A.imp[A.join[x][y]][z] == A.meet[A.imp[x][z]][A.imp[y][z]]),
+    "P2.2.5": ("imp(x, y) equals imp(x, meet(x, y))", "xy", lambda A, x, y:
+               A.imp[x][y] == A.imp[x][A.meet[x][y]]),
+    "P2.2.6": ("imp(x, y) equals imp(join(x, y), y)", "xy", lambda A, x, y:
+               A.imp[x][y] == A.imp[A.join[x][y]][y]),
+    "P2.2.7": ("imp turns meet on the left into join", "xyz", lambda A, x, y, z:
+               A.imp[A.meet[x][y]][z] == A.join[A.imp[x][z]][A.imp[y][z]]),
+    "P2.2.8": ("join is recovered from double residuation", "xy", lambda A, x, y:
+               A.join[x][y] == A.meet[A.imp[A.imp[x][y]][y]][A.imp[A.imp[y][x]][x]]),
+    "P2.2.9": ("x lies below imp(y, x)", "xy", lambda A, x, y:
+               A.meet[x][A.imp[y][x]] == x),
+    "P2.2.10": ("triple negation collapses to single negation", "x", lambda A, x:
+                A.imp[x][A.bot] == A.imp[A.imp[A.imp[x][A.bot]][A.bot]][A.bot]),
+    "P2.2.11": ("an element times its negation is bot", "x", lambda A, x:
+                A.mul[x][A.imp[x][A.bot]] == A.bot),
+    "P2.2.12": ("x lies below imp(imp(x, y), y)", "xy", lambda A, x, y:
+                A.meet[x][A.imp[A.imp[x][y]][y]] == x),
+    "P2.4.2": ("center members commute with residuation", "exy", lambda A, e, x, y:
+               A.mul[e][A.imp[x][y]] == A.mul[e][A.imp[A.mul[e][x]][A.mul[e][y]]]),
 }
 
 
@@ -424,7 +413,7 @@ def _p349_domain(A) -> list[int]:
     impl_right of {x}.  A failing X lacks top in some R_x, x in X, and {x}
     fails; or a != top lies in gen X and R(X), so X <= S_a and gen X <=
     gen S_a, and S_a fails.  This holds under any masks."""
-    R = [impl_right(A, singleton(A, x)).bits for x in range(A.n)]
+    R = A._fixed_masks("impl_right")
     sets = {sum(1 << x for x in range(A.n) if R[x] >> a & 1)
             for a in range(A.n) if a != A.top}
     return sorted((sets | set(_singletons(A))) - {0})
@@ -514,10 +503,10 @@ def _p434_domain(A) -> list[int]:
     Both values AND over X's members, so an X != {bot} with the shape lies
     in K' != {bot}, and K' has it too: mult_right shrinks as X grows and
     keeps bot.  On a valid table K' = {bot}."""
-    everything = full(A)
+    everything = (1 << A.n) - 1
+    left, right = A._fixed_masks("mult_left"), A._fixed_masks("mult_right")
     k = sum(1 << x for x in range(A.n)
-            if mult_left(A, singleton(A, x)) == everything
-            and A.bot in mult_right(A, singleton(A, x)))
+            if left[x] == everything and right[x] >> A.bot & 1)
     return sorted({1 << A.bot, k} - {0})
 
 
@@ -588,7 +577,7 @@ def _induced_claim(side: int):
         checked = 0
         for x in A.idempotents():
             args = _side(A, x, side)
-            if _trivial(args[1]):
+            if _trivial(args[1].bits):
                 continue
             checked += 1
             if not _validates(*args):

@@ -13,8 +13,8 @@ from itertools import product
 from .core import FiniteMtlAlgebra, _downsets, _upsets, require_validated
 from .order import is_prime_filter, is_prime_lattice_ideal, is_proper_filter
 from .report import Report
-from .stabilizers import impl_left, impl_stab, mult_left, mult_right, ortho
-from .subsets import singleton
+from .stabilizers import impl_left, impl_stab, ortho
+from .subsets import Subset, singleton
 
 
 def is_bl(A: FiniteMtlAlgebra) -> bool:
@@ -81,31 +81,27 @@ def integral_by_stabilizers(A: FiniteMtlAlgebra) -> bool:
 
 def godel_by_left_stabilizers(A: FiniteMtlAlgebra) -> bool:
     """For every x the left mul stabilizer of {x} is the upset of x."""
-    return all(
-        mult_left(A, singleton(A, x)).bits == _upsets(A)[x]
-        for x in range(A.n)
-    )
+    require_validated(A)
+    return A._fixed_masks("mult_left") == _upsets(A)
 
 
 def godel_by_right_stabilizers(A: FiniteMtlAlgebra) -> bool:
     """For every x the right mul stabilizer of {x} is the downset of x."""
-    return all(
-        mult_right(A, singleton(A, x)).bits == _downsets(A)[x]
-        for x in range(A.n)
-    )
+    require_validated(A)
+    return A._fixed_masks("mult_right") == _downsets(A)
 
 
 def _left_stabilizers_prime(A: FiniteMtlAlgebra) -> bool:
     """Each proper one-point left mul stabilizer is a prime filter."""
-    stabs = (mult_left(A, singleton(A, x)) for x in range(A.n))
+    stabs = (Subset._of(A, bits) for bits in A._fixed_masks("mult_left"))
     return all(is_prime_filter(A, F) for F in stabs if is_proper_filter(A, F))
 
 
 def _right_stabilizers_prime(A: FiniteMtlAlgebra) -> bool:
     """Each one-point right mul stabilizer is a prime lattice ideal.  Read
     only once they are known to be downsets, which are lattice ideals."""
-    return all(is_prime_lattice_ideal(A, mult_right(A, singleton(A, x)))
-               for x in range(A.n))
+    return all(is_prime_lattice_ideal(A, Subset._of(A, bits))
+               for bits in A._fixed_masks("mult_right"))
 
 
 def _godel_chain_left(A: FiniteMtlAlgebra) -> bool:

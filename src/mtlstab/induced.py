@@ -52,16 +52,16 @@ class InducedAlgebra:
 
     @property
     def trivial(self) -> bool:
-        return _trivial(self.carrier)
+        return _trivial(self.carrier.bits)
 
     @property
     def ok(self) -> bool:
         return self.algebra is not None
 
 
-def _trivial(carrier: Subset) -> bool:
+def _trivial(bits: int) -> bool:
     """A carrier of fewer than two elements gets no algebra."""
-    return len(carrier) < 2
+    return bits.bit_count() < 2
 
 
 def _restrict(pos: dict[int, int], ops) -> list | None:
@@ -74,7 +74,7 @@ def _restrict(pos: dict[int, int], ops) -> list | None:
 
 def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
            imp_table) -> InducedAlgebra:
-    if _trivial(carrier):
+    if _trivial(carrier.bits):
         return InducedAlgebra(carrier)
     members = carrier.members()
     pos = {e: i for i, e in enumerate(members)}
@@ -106,7 +106,7 @@ def _build(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
 
 def _validates(A: FiniteMtlAlgebra, carrier: Subset, bot_elt: int, top_elt: int,
               imp_table) -> bool:
-    """Whether `_build` validates on the arguments `_sides` gives: C holds
+    """Whether `_build` validates on the arguments `_side` gives: C holds
     bot' != top', is closed under mul, imp' and join, and has bot' <= a =
     mul(top', a); else `_build` fails.  Meet needs no check, as
     a ^ b = a(a -> b) v b(b -> a) in every MTL-algebra (on chains, so on
@@ -139,11 +139,6 @@ def _side(A: FiniteMtlAlgebra, x: int, side: int) -> tuple:
     if side:
         return A, carrier, A.bot, x, _right_imp(A, x, carrier)
     return A, carrier, x, A.top, A.imp
-
-
-def _sides(A: FiniteMtlAlgebra, x: int) -> tuple[tuple, tuple]:
-    """Both sides' `_build` arguments, left then right."""
-    return _side(A, x, 0), _side(A, x, 1)
 
 
 def left_mult_algebra(A: FiniteMtlAlgebra, x: int) -> InducedAlgebra:

@@ -33,11 +33,10 @@ from .core import (MAX_CARRIER, FiniteMtlAlgebra, NotALatticeError,
                    _derive_lattice, _mask, construct, require_validated,
                    validate)
 from .classify import is_mv
-from .induced import (_sides, _validates, check_mtl_iso,
+from .induced import (_side, _trivial, _validates, check_mtl_iso,
                       left_mult_algebra, right_mult_algebra)
 from .order import all_filters
 from .stabilizers import impl_left, impl_right
-from .subsets import singleton
 from ._pool import pmap
 
 FAMILIES = ("lukasiewicz", "godel", "nilpotent_minimum")
@@ -430,13 +429,11 @@ def open1_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
 def open2_premise(A: FiniteMtlAlgebra) -> bool:
     """Left equals right stabilizer everywhere.
 
-    Singleton agreement is exact: both stabilizers of a nonempty X are the
-    intersections of the singleton stabilizers of its members.
+    The cached one-point masks decide it: both stabilizers of a nonempty X
+    are the intersections of the one-point stabilizers of its members.
     """
-    return all(
-        impl_left(A, singleton(A, x)) == impl_right(A, singleton(A, x))
-        for x in range(A.n)
-    )
+    require_validated(A)
+    return A._fixed_masks("impl_left") == A._fixed_masks("impl_right")
 
 
 def open2_scan(corpus) -> list[SearchFinding]:
@@ -460,9 +457,9 @@ def open3_scan(A: FiniteMtlAlgebra) -> list[SearchFinding]:
     """
     findings = []
     for x in A.idempotents():
-        if any(A._fixed_masks(k)[x].bit_count() < 2 for k in ("mult_left", "mult_right")):
+        if any(_trivial(A._fixed_masks(k)[x]) for k in ("mult_left", "mult_right")):
             continue
-        sides = _sides(A, x)
+        sides = _side(A, x, 0), _side(A, x, 1)
         if not all(_validates(*args) for args in sides):
             continue
         left, right = sides[0][1], sides[1][1]

@@ -50,7 +50,7 @@ from mtlstab.claims import (
     verify_all,
     verify_claim,
 )
-from mtlstab.induced import _build, _sides, _validates, left_mult_algebra
+from mtlstab.induced import _build, _side, _validates, left_mult_algebra
 from mtlstab.search import (FAMILIES, enumerate_all, gen_family, open1_scan,
                             open2_premise, open3_scan)
 
@@ -306,13 +306,13 @@ def test_identity_claims_refute_a_corrupted_table(fixtures, claim_id, names, law
     outcome = verify_claim(B, claim_id)
     assert outcome.verdict == "refuted"
     assert outcome.witness == {v: B.labels[t] for v, t in zip(names, witness)}
-    # The row scans count the tuples a pointwise scan visits up to the witness.
+    # The scope counts the tuples a pointwise scan visits up to the witness.
     assert verify_claim(a4, claim_id).scope == _tuples_scanned(a4, names, law)
     assert outcome.scope == _tuples_scanned(B, names, law)
 
 
 def _identity_scan(claim_id):
-    """The row scan that explains a refuted identity claim: the claim with
+    """The tuple scan that explains a refuted identity claim: the claim with
     a decision that never holds."""
     _, names, law = _IDENTITIES[claim_id]
     return _identity_claim(names, law, lambda R: False)
@@ -320,7 +320,7 @@ def _identity_scan(claim_id):
 
 def test_identity_decisions_match_row_scans_on_corrupted_tables(fixtures):
     # One entry of one of the four tables changed, built directly as in
-    # test_properties: the bytes decision and the row scan give the same
+    # test_properties: the bytes decision and the tuple scan give the same
     # verdict, and the claim the scan's witness and scope (all tuples when
     # it holds).
     rng = random.Random(26)
@@ -612,7 +612,7 @@ def test_validates_decides_build_on_corrupted_masks():
         A = rng.choice(algebras)
         with _corrupted_masks(A, rng):
             for x in A.idempotents():
-                for args in _sides(A, x):
+                for args in (_side(A, x, 0), _side(A, x, 1)):
                     verdict = _validates(*args)
                     assert verdict == _build(*args).ok, (A.name, x)
                     verdicts[verdict] += 1
@@ -694,8 +694,8 @@ def test_empty_left_stabilizer_of_bot_refutes_p39():
 
 # One verify of each 9-element family chain: calls of `_intersect` and
 # checked `Subset` constructions.
-HOT_PATH_LIMITS = {"lukasiewicz": (956, 130), "godel": (784, 191),
-                   "nilpotent_minimum": (622, 83)}
+HOT_PATH_LIMITS = {"lukasiewicz": (869, 42), "godel": (651, 57),
+                   "nilpotent_minimum": (575, 35)}
 
 
 def test_verify_hot_path_call_counts(monkeypatch):

@@ -16,6 +16,7 @@ from mtlstab.classify import (
     is_integral_mtl,
     is_mv,
 )
+from mtlstab.fixtures import load_fixture
 from mtlstab.search import enumerate_all, gen_family
 
 
@@ -129,3 +130,32 @@ def test_classify_evaluates_each_predicate_once(fixtures):
     # on a Gödel chain every right stabilizer is tested as an ideal, once
     chain = gen_family("godel", 6)
     assert _calls_during(classify, chain)["is_lattice_ideal"] == chain.n
+
+
+def _flip_mask(A, key, x, y):
+    """Flips bit y of the cached one-point mask of x under `key`."""
+    masks = list(A._fixed_masks(key))
+    masks[x] ^= 1 << y
+    A._mask_cache()[key] = tuple(masks)
+
+
+def test_classify_reports_a_stabilizer_route_that_disagrees():
+    # A wrong one-point mask stands in for a false theorem: the route that
+    # reads it disagrees with its direct predicate and classify refutes.
+    chain, i6 = gen_family("godel", 5), load_fixture("i6")
+    assert classify(chain).ok and classify(i6).ok
+    _flip_mask(chain, "mult_left", chain.bot, chain.top)
+    _flip_mask(i6, "ortho", i6.bot, i6.bot)
+    expected = {
+        chain: [("T4.9-godel", "direct godel predicate disagrees with"
+                 " godel_by_left_stabilizers"),
+                ("T4.10-godel-chain", "direct chain+godel predicate disagrees"
+                 " with stabilizer route")],
+        i6: [("T3.10-imtl", "direct imtl predicate disagrees with"
+              " imtl_by_stabilizers")],
+    }
+    for A, refutations in expected.items():
+        report = classify(A)
+        assert not report.ok and report.failures == len(refutations)
+        assert [(k, v) for t, k, v in report.records if t == "refutation"] \
+            == refutations

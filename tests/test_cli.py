@@ -44,6 +44,41 @@ def test_validate_broken_table_exits_1(tmp_path):
     assert "violation" in out
 
 
+@pytest.mark.parametrize("argv", [["stab", "--set", "a"], ["classify"], ["verify"],
+                                  ["search", "--problem", "1", "--file"]],
+                         ids=["stab", "classify", "verify", "search"])
+@pytest.mark.parametrize("fmt", ["machine", "human"])
+def test_invalid_algebra_exits_1_with_its_validate_report(tmp_path, argv, fmt):
+    # A file that parses but fails an axiom: every command that needs a valid
+    # algebra stops at the gate and prints the file's validate report.
+    path = tmp_path / "broken.alg"
+    path.write_text(fixture_text("a4").replace("0 0 b b", "0 b b b"))
+    code, report = run_cli(["validate", str(path), "--format", fmt])
+    assert code == 1
+    assert report.splitlines()[2].split() == ["violation", "monoid.comm", "(a,b)"]
+    assert run_cli(argv + [str(path), "--format", fmt]) == (1, report)
+
+
+def test_stab_set_naming_no_element_exits_2(fixture_file, capsys):
+    assert cli_main(["stab", fixture_file("a4"), "--set", ","]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", "error: --set must name at least one element\n")
+
+
+def test_65_element_file_exits_2(tmp_path, capsys):
+    labels = [f"e{i}" for i in range(65)]
+    row = " ".join(["e0"] * 65)
+    path = tmp_path / "big.alg"
+    path.write_text("\n".join(["algebra big", "size 65", "labels " + " ".join(labels),
+                               "bot e0", "top e64", "mul", *[row] * 65,
+                               "imp", *[row] * 65, "end"]) + "\n")
+    assert cli_main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", f"error: {path}: carrier size 65 outside supported range 2..64\n")
+
+
 def test_missing_file_exits_2(capsys):
     assert cli_main(["validate", "/nonexistent/file.alg"]) == 2
 

@@ -256,6 +256,23 @@ def test_validate_reports_adjointness_break_with_replayable_witness():
         assert replay_violation(broken, axiom, witness)
 
 
+@pytest.mark.parametrize("n, kwargs, message", [
+    (65, {}, "carrier size 65 outside supported range 2..64"),
+    (2, {"labels": ("0",)}, "labels must be n distinct tokens"),
+    (2, {"meet": ((0, 0), (0, 1))}, "declare both meet and join or neither"),
+    (2, {"join": ((0, 1), (1, 1))}, "declare both meet and join or neither"),
+])
+def test_construct_refusals(n, kwargs, message):
+    table = [[0] * n for _ in range(n)]
+    with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+        construct(n, table, table, **kwargs)
+
+
+def test_replay_refuses_an_unknown_axiom(fixtures):
+    with pytest.raises(KeyError, match="unknown axiom id 'monoid.idem'"):
+        replay_violation(fixtures["a4"], "monoid.idem", (0,))
+
+
 def test_ops_require_validated_algebra():
     raw = load_fixture_raw("a4")
     with pytest.raises(NotValidatedError):

@@ -66,6 +66,22 @@ def test_missing_block_rejected():
     assert "missing required `imp` block" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, expected", [
+    ("labels 0 a b 1", "labels 0 a a 1", "line 4, col 8: labels are not unique"),
+    ("end", "meet\n0 0 0 0\n0 a a a\n0 a b b\n0 a b 1\nend",
+     "line 22, col 1: meet and join blocks must be given together"),
+])
+def test_label_and_lattice_block_refusals(old, new, expected):
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(A4_TEXT.replace(old, new))
+    assert str(err.value) == expected
+
+
+def test_unknown_fixture_is_refused():
+    with pytest.raises(KeyError, match="unknown fixture 'z4'; have a4, a5, b4"):
+        fixture_text("z4")
+
+
 def test_trailing_content_rejected():
     with pytest.raises(ParseError) as err:
         parse_algebra_file(A4_TEXT + "\nextra token\n")

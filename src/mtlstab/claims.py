@@ -42,7 +42,6 @@ from .classify import (
     _godel_chain_right,
     godel_by_left_stabilizers,
     godel_by_right_stabilizers,
-    godel_chain_by_stabilizers,
     imtl_by_stabilizers,
     integral_by_stabilizers,
     is_bl,
@@ -169,15 +168,23 @@ def _singletons_and_pairs(A) -> list[int]:
 _singleton_claim = partial(_claim_on, _singletons)
 
 
+def _agree(values):
+    """Equivalence bundle: every (condition, value) carries the same value."""
+    if len({v for _, v in values}) <= 1:
+        return True, None, len(values)
+    return False, {name: str(v).lower() for name, v in values}, len(values)
+
+
 def _bundle_claim(parts):
-    """Equivalence bundle: every condition must carry the same truth value."""
-    def check(A):
-        values = [(name, fn(A)) for name, fn in parts]
-        if len({v for _, v in values}) <= 1:
-            return True, None, len(values)
-        witness = {name: str(v).lower() for name, v in values}
-        return False, witness, len(values)
-    return check
+    return lambda A: _agree([(name, fn(A)) for name, fn in parts])
+
+
+def _t410(A):
+    """The library route, `godel_chain_by_stabilizers`, is the left route
+    and the right route: read off their values, each primality scan runs once."""
+    left, right = _godel_chain_left(A), _godel_chain_right(A)
+    return _agree([("linear-godel", is_godel(A) and is_chain(A)), ("left-route", left),
+                   ("right-route", right), ("library-route", left and right)])
 
 
 def _cross_route(table_name: str, op_left, op_right):
@@ -748,12 +755,7 @@ def _build_registry() -> dict[str, Claim]:
                         ))))
     claims.append(Claim("T4.10-godel-chain",
                         "linear idempotent algebras match prime stabilizers",
-                        _bundle_claim((
-                            ("linear-godel", lambda A: is_godel(A) and is_chain(A)),
-                            ("left-route", _godel_chain_left),
-                            ("right-route", _godel_chain_right),
-                            ("library-route", godel_chain_by_stabilizers),
-                        ))))
+                        _t410))
     claims.append(Claim("T4.11-order-iso",
                         "right stabilizers are order isomorphic at idempotents",
                         _iso_claim(order_iso_right)))

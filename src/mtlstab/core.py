@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import chain, product
-from operator import getitem
+from operator import getitem, is_
 
 MAX_CARRIER = 64  # subsets of the carrier must fit in one machine word
 EMPTY_SET_SYMBOL = "∅"  # how a report renders the empty subset
@@ -130,6 +130,27 @@ def _check_table(name: str, table, n: int) -> Table:
     return tuple(rows)
 
 
+def _check_labels(n: int, labels) -> tuple[str, ...]:
+    if labels is None:
+        return tuple(str(i) for i in range(n))
+    labels = tuple(labels)
+    if len(labels) != n or len(set(labels)) != n:
+        raise AlgebraError("labels must be n distinct tokens")
+    for label in labels:  # reports join labels with ',' and show {} as ∅
+        if "," in label or label == EMPTY_SET_SYMBOL:
+            raise AlgebraError(f"label {label!r} contains ',' or is ∅")
+        if label.split() != [label] or "#" in label:  # file tokens
+            raise AlgebraError(f"label {label!r} is empty or contains"
+                               " whitespace or '#'")
+    return labels
+
+
+# n, (labels, meet, join) as handed over, and (labels, (meet, join, upset
+# rows) or None) as checked, of the last call that passed with frozen ones;
+# kept alive, so `is` on them means these very objects (0 == 0.0 == False).
+_accepted = [(0, (), None)]
+
+
 def construct(
     n: int,
     mul,
@@ -147,7 +168,11 @@ def construct(
     The derived order is ``x <= y  iff  imp(x, y) == top``.  When meet/join
     are omitted this relation must be a partial order in which every pair has
     a meet and a join; when they are declared, the order they encode must
-    agree with the `imp` order.
+    agree with the `imp` order: imp's entries flagged where they equal top
+    are meet's upset rows, byte z of row x being 1 when meet(x, z) == x.
+    The labels and a declared meet/join are checked once per object, as
+    enumerators hand all tables of a lattice the same tuples; mul, imp and
+    the consistency compare run on every call.
     """
     if not 2 <= n <= MAX_CARRIER:
         raise AlgebraError(f"carrier size {n} outside supported range 2..{MAX_CARRIER}")
@@ -155,41 +180,33 @@ def construct(
         top = n - 1
     if not (0 <= bot < n and 0 <= top < n) or bot == top:
         raise AlgebraError(f"bad bot/top pair ({bot}, {top}) for carrier size {n}")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    else:
-        labels = tuple(labels)
-        if len(labels) != n or len(set(labels)) != n:
-            raise AlgebraError("labels must be n distinct tokens")
-        for label in labels:  # reports join labels with ',' and show {} as ∅
-            if "," in label or label == EMPTY_SET_SYMBOL:
-                raise AlgebraError(f"label {label!r} contains ',' or is ∅")
-            if label.split() != [label] or "#" in label:  # file tokens
-                raise AlgebraError(f"label {label!r} is empty or contains"
-                                   " whitespace or '#'")
-
+    key, (size, last, checked) = (labels, meet, join), _accepted[0]
+    hit = size == n and all(map(is_, key, last))
+    labels, lattice = checked if hit else (_check_labels(n, labels), None)
     mul = _check_table("mul", mul, n)
     imp = _check_table("imp", imp, n)
-
-    # The residuum's order as upset masks; construct() only needs it to be
-    # consistent, validate() re-checks the lattice laws in full.
-    up = [_mask(imp[x], top) for x in range(n)]
 
     if meet is None or join is None:
         if meet is not None or join is not None:
             raise AlgebraError("declare both meet and join or neither")
-        meet, join = _derive_lattice(n, up, bot, top)
+        meet, join = _derive_lattice(n, [_mask(row, top) for row in imp], bot, top)
     else:
-        meet = _check_table("meet", meet, n)
-        join = _check_table("join", join, n)
-        for x in range(n):
-            differ = up[x] ^ _mask(meet[x], x)
-            if differ:
-                y = _lowest(differ)
-                raise LatticeMismatchError(
-                    f"declared lattice disagrees with imp-order at"
-                    f" ({labels[x]}, {labels[y]})"
-                )
+        if lattice is None:
+            meet = _check_table("meet", meet, n)
+            join = _check_table("join", join, n)
+            lattice = meet, join, b"".join(map(bytes.translate, map(bytes, meet),
+                                                map(_flag, range(n))))
+        meet, join, up = lattice
+        flags = b"".join(map(bytes, imp)).translate(_flag(top))
+        if flags != up:
+            x, y = divmod(next(k for k in range(n * n) if flags[k] != up[k]), n)
+            raise LatticeMismatchError(
+                f"declared lattice disagrees with imp-order at"
+                f" ({labels[x]}, {labels[y]})"
+            )
+    if not hit and all(k is None or type(k) is tuple  # frozen: nothing can change it
+                       and all(type(x) in (tuple, str) for x in k) for k in key):
+        _accepted[0] = n, key, (labels, lattice)
 
     return FiniteMtlAlgebra(
         n=n, labels=labels, bot=bot, top=top,

@@ -27,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from operator import itemgetter
 
 from .core import (MAX_CARRIER, FiniteMtlAlgebra, NotALatticeError,
                    _derive_lattice, _mask, construct, require_validated,
@@ -317,7 +316,8 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
     n, bot, top = A.n, A.bot, A.top
     if n > 10:
         raise SizeRangeError("canonical form is for enumeration-scale carriers")
-    tables = [[bytes(row) for row in table] for table in (A.mul, A.imp)]
+    # rows padded to 256 bytes: translate tables for gathering columns
+    tables = [[bytes(row) + bytes(256 - n) for row in table] for table in (A.mul, A.imp)]
     # element -> position; every free element holds the smallest free position
     image = bytearray(256)
     image[:n] = bytes([1]) * n
@@ -330,11 +330,11 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
     def bound():
         """The interior rows of the lower bound, in serialization order."""
         k = len(placed)
-        columns = itemgetter(*placed, *free)  # a tuple: rows exist for n >= 3
+        columns = bytes(placed + free)
 
         def row(t: bytes) -> bytes:
-            t = columns(t.translate(image))
-            return bytes((*t[:k], *sorted(t[k:])))
+            t = columns.translate(t).translate(image)
+            return t[:k] + bytes(sorted(t[k:]))
 
         for rows in tables:
             for x in placed[1:]:
@@ -371,8 +371,8 @@ def canonical_form(A: FiniteMtlAlgebra) -> bytes:
     descend()
     for position, x in enumerate(order):
         image[x] = position
-    columns = itemgetter(*order)
-    return b"".join(bytes(columns(rows[x].translate(image)))
+    columns = bytes(order)
+    return b"".join(columns.translate(rows[x]).translate(image)
                     for rows in tables for x in order)
 
 

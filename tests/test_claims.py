@@ -12,6 +12,7 @@ from conftest import (antitone_all_pairs_oracle, every_subset_oracle,
                       full_scan_oracle, open3_scan_oracle, oracle_corpus,
                       relabel)
 from mtlstab import claims as claims_module
+from mtlstab import classify as classify_module
 from mtlstab import core, induced
 from mtlstab import fixtures as fixtures_module
 from mtlstab import stabilizers
@@ -760,6 +761,30 @@ def test_verify_all_builds_one_rows_per_algebra(monkeypatch):
         verify_all(A)
         assert builds[A.name] == 1, builds
         assert not any(value is A for value in vars(A._mask_cache()["rows"]).values())
+
+
+def test_t410_runs_each_primality_scan_once(monkeypatch):
+    # The library route is the left route and the right route, so the
+    # bundle reads it off their values: one primality scan per element.
+    calls = Counter()
+    real = classify_module.is_prime_lattice_ideal
+
+    def counting(*args):
+        calls["prime"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(classify_module, "is_prime_lattice_ideal", counting)
+    A = gen_family("godel", 9)
+    outcome = verify_claim(A, "T4.10-godel-chain")
+    assert (outcome.verdict, outcome.witness, outcome.scope) == ("holds", None, 4)
+    assert calls["prime"] == A.n
+    masks = list(A._fixed_masks("mult_left"))  # the left route now fails
+    masks[A.bot] ^= 1 << A.top
+    A._mask_cache()["mult_left"] = tuple(masks)
+    outcome = verify_claim(A, "T4.10-godel-chain")
+    assert (outcome.verdict, outcome.witness, outcome.scope) == ("refuted", {
+        "linear-godel": "true", "left-route": "false", "right-route": "true",
+        "library-route": "false"}, 4)
 
 
 def test_p349_domain_finds_a_failing_pair_with_no_failing_member(diamond):

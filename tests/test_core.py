@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -20,9 +21,12 @@ from mtlstab import (
     replay_violation,
     validate,
 )
+from mtlstab import core
 from mtlstab.core import _derive_lattice, _lattice_rows, _rows_hold, _violations
 from mtlstab.fixtures import load_fixture_raw
-from mtlstab.search import FAMILIES, enumerate_all, enumerate_chains, gen_family
+from mtlstab.search import (FAMILIES, _bounded_lattices, _distributive,
+                            _tables_on_lattice, enumerate_all, enumerate_chains,
+                            gen_family)
 
 
 def test_construct_derives_chain_lattice(fixtures):
@@ -217,14 +221,22 @@ def test_lattice_memo_keeps_no_verdict_on_mul_or_imp():
     assert checked == 58_065
 
 
+class Index:
+    """Not an int, yet usable as one and equal to 0 in value."""
+    def __index__(self):
+        return 0
+
+    def __eq__(self, other):
+        return other == 0
+
+    def __hash__(self):
+        return hash(0)
+
+    def __repr__(self):
+        return "Index()"
+
+
 def test_table_errors_name_the_first_bad_entry():
-    class Index:
-        def __index__(self):
-            return 0
-
-        def __repr__(self):
-            return "Index()"
-
     imp = [[1, 1], [0, 1]]
     cases = [
         ([[0, 0], [0]], "mul table row 1 has 1 entries, expected 2"),
@@ -240,6 +252,84 @@ def test_table_errors_name_the_first_bad_entry():
             construct(2, mul, imp)
     A = construct(2, [[False, False], [False, True]], imp)
     assert A.mul == ((False, False), (False, True)) and validate(A).valid
+
+
+def test_warm_construct_memo_checks_value_equal_tables():
+    # construct skips the label and lattice checks only for the very
+    # objects it last accepted.  These tables equal the warm meet in value
+    # (0 == 0.0 == False == Index()), so a memo keyed on values would hand
+    # back the warm table and lose the refusal.
+    mul, imp, join = ((0, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 1))
+    meet, labels = mul, ("0", "1")
+    for bad, message in ((((0, 0.0), (0, 1)), "meet[0][1] = 0.0 is out of range 0..1"),
+                         (((0, 0), (Index(), 1)), "meet[1][0] = Index() is out of range 0..1")):
+        assert bad == meet
+        construct(2, mul, imp, meet, join, labels=labels)
+        with pytest.raises(TableError, match=f"^{re.escape(message)}$"):
+            construct(2, mul, imp, bad, join, labels=labels)
+    falsy = ((False, False), (False, True))
+    construct(2, mul, imp, meet, join, labels=labels)
+    A = construct(2, mul, imp, falsy, join, labels=labels)
+    assert {type(v) for row in A.meet for v in row} == {bool} and validate(A).valid
+
+
+def test_warm_construct_memo_keeps_the_cold_mismatch_witness(fixtures):
+    # A memo hit still compares imp with the declared order on every call.
+    a4 = fixtures["a4"]
+    lists = [list(map(list, table)) for table in (a4.meet, a4.join)]
+    imp = [list(row) for row in a4.imp]
+    imp[a4.index("a")][a4.bot] = a4.top  # a <= 0 by imp alone
+
+    def refusal(*args):
+        with pytest.raises(LatticeMismatchError) as err:
+            construct(4, *args, labels=a4.labels)
+        return str(err.value)
+
+    warm = (a4.mul, a4.imp, a4.meet, a4.join)
+    swapped = refusal(a4.mul, a4.imp, *lists[::-1])  # lists: never memoized
+    assert swapped == "declared lattice disagrees with imp-order at (0, a)"
+    construct(4, *warm, labels=a4.labels)
+    assert refusal(a4.mul, a4.imp, a4.join, a4.meet) == swapped
+    construct(4, *warm, labels=a4.labels)
+    assert refusal(a4.mul, imp, a4.meet, a4.join) == refusal(a4.mul, imp, *lists) \
+        == "declared lattice disagrees with imp-order at (a, 0)"
+    assert construct(4, *warm, labels=a4.labels) == a4
+
+
+def test_construct_checks_a_mutated_lattice_again(fixtures):
+    a4 = fixtures["a4"]
+    for kind in (list, tuple):  # a tuple of lists is not frozen either
+        meet, join = (kind(list(row) for row in t) for t in (a4.meet, a4.join))
+        for _ in range(2):
+            assert construct(4, a4.mul, a4.imp, meet, join, labels=a4.labels) == a4
+        meet[0][1] = 9
+        with pytest.raises(TableError, match=r"^meet\[0\]\[1\] = 9 is out of range 0..3$"):
+            construct(4, a4.mul, a4.imp, meet, join, labels=a4.labels)
+        meet[0][1] = a4.meet[0][1]
+        meet[1][:], join[1][:] = join[1], meet[1]  # rows of the other table
+        with pytest.raises(LatticeMismatchError):
+            construct(4, a4.mul, a4.imp, meet, join, labels=a4.labels)
+
+
+def test_construct_checks_each_enumerated_lattice_once(monkeypatch):
+    # Enumerators hand every table of a lattice the same meet and join
+    # tuples: mul and imp are checked per table, meet and join per lattice.
+    real, calls = core._check_table, Counter()
+
+    def counting(name, table, n):
+        calls[name] += 1
+        return real(name, table, n)
+
+    carried = [_tables_on_lattice(5, L) for L in _bounded_lattices(5)
+               if _distributive(5, L)]
+    tables, lattices = sum(map(len, carried)), sum(map(bool, carried))
+    monkeypatch.setattr(core, "_check_table", counting)
+    chains = enumerate_chains(6)
+    assert calls == {"mul": len(chains), "imp": len(chains), "meet": 1, "join": 1}
+    calls.clear()
+    enumerate_all(5)
+    assert calls == {"mul": tables, "imp": tables, "meet": lattices, "join": lattices}
+    assert lattices > 1
 
 
 def test_validate_reports_adjointness_break_with_replayable_witness():

@@ -21,7 +21,8 @@ import pytest
 
 from mtlstab.cli import cli_main
 from mtlstab.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
-from mtlstab.search import enumerate_all
+from mtlstab.search import (canonical_form, enumerate_all, enumerate_chains,
+                            gen_family)
 
 GOLDEN = Path(__file__).parent / "golden"
 FAMILIES = ("lukasiewicz", "godel", "nilpotent_minimum")
@@ -211,6 +212,31 @@ def test_enumerate_all_6_is_pinned(dedup):
     for A in algebras:
         digest.update(repr((A.name, A.labels, A.bot, A.top, A.mul, A.imp)).encode())
     assert (len(algebras), digest.hexdigest()) == ENUM6_DIGESTS[dedup]
+
+
+# SHA-256 of the canonical forms, concatenated in order, of the chains of 8,
+# of every table of `enumerate_all(6)` and of the family chains of 2..10
+# elements, recorded before canonical_form gathered columns by `translate`.
+# The report digests above stop at 7 elements; these pin the longest rows.
+FORM_DIGESTS = {
+    "chains8": (2386, "bdf3d78306e7cea66e82647b222f30bf8e9fd848bd5b21b202110a310f3ba9ff"),
+    "all6": (108, "dd45bd5274de21990e6e04ca541f0d3d5f58a44de377ca45e53fd51dcf2ff0e5"),
+    "families": (27, "11e61764747c786dd0a2f4f257430aaa8ae62b590cbdbc0d5e05748953d84f07"),
+}
+FORM_CORPORA = {
+    "chains8": lambda: enumerate_chains(8),
+    "all6": lambda: enumerate_all(6, allow_large=True, dedup=False),
+    "families": lambda: [gen_family(f, n) for f in FAMILIES for n in range(2, 11)],
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(FORM_DIGESTS))
+def test_canonical_forms_are_pinned(corpus):
+    algebras = FORM_CORPORA[corpus]()
+    digest = sha256()
+    for A in algebras:
+        digest.update(canonical_form(A))
+    assert (len(algebras), digest.hexdigest()) == FORM_DIGESTS[corpus]
 
 
 def _record() -> None:

@@ -8,10 +8,10 @@ tuple scan or the build runs only to explain a failure.  A claim on all
 2^n - 1 subsets scans a small domain that holds a failing X whenever any
 subset fails, as each domain's docstring proves, mostly from each stabilizer
 value being the intersection of its members' one-point values; domains that
-need those values read the cached one-point masks.  Claims with a
-hypothesis (BL-only, MV-only, idempotent-only) come back `not-applicable`
-when the hypothesis fails, never vacuously `holds`, so corpus statistics
-separate verified from untested.
+need those values read the cached one-point masks, and those of generation
+blindness are decided on them.  Claims with a hypothesis (BL-only, MV-only,
+idempotent-only) come back `not-applicable` when the hypothesis fails, never
+vacuously `holds`, so corpus statistics separate verified from untested.
 
 Three registry entries (Q-godel-xr-union-subalg, P4.3.5, P4.3.6) are
 expected to be refutable on ordinary algebras and carry metadata saying so;
@@ -35,7 +35,7 @@ from math import prod
 from operator import eq, getitem
 from typing import Callable
 
-from .core import (FiniteMtlAlgebra, InternalConsistencyError, _flag,
+from .core import (FiniteMtlAlgebra, InternalConsistencyError, _flag, _upsets,
                    require_validated)
 from .classify import (
     _godel_chain_left,
@@ -61,6 +61,7 @@ from .induced import (
 )
 from .order import (
     _first_escape,
+    _least,
     all_filters,
     generated_filter,
     is_filter,
@@ -70,6 +71,7 @@ from .order import (
 from .search import open2_premise
 from .stabilizers import (
     SUITE_ORDER,
+    _and,
     impl_left,
     impl_right,
     impl_stab,
@@ -155,16 +157,6 @@ def _singletons(A) -> list[int]:
     return [1 << x for x in range(A.n)]
 
 
-def _singletons_and_pairs(A) -> list[int]:
-    """Sets of one or two members, for op(gen X) = op(X): gen X is the
-    upset of the products of X's members and op(X) the AND of the op_x.  If
-    each {x} holds, y >= x forces op_x <= op_y (y is in gen {x}); if each
-    {x, y} holds too, op_x & op_y <= op_{x*y}.  So op(X) <= op(gen X): a
-    failing X has a failing subset here, so the least one here is the full
-    scan's first failing X."""
-    return [1 << y | b for y in range(A.n) for b in (0, *(1 << x for x in range(y)))]
-
-
 _singleton_claim = partial(_claim_on, _singletons)
 
 
@@ -238,7 +230,8 @@ def _antitone_check(parts):
 
 
 def _blind_to_generation(op):
-    """op(generated_filter(X)) == op(X)."""
+    """op(generated_filter(X)) == op(X): names the witness at the set that
+    `_first_changed_by_generation` finds, and is the tests' oracle for it."""
     def pred(A, X):
         gen = generated_filter(A, X)
         of_gen, of_x = op(A, gen), op(A, X)
@@ -248,6 +241,36 @@ def _blind_to_generation(op):
                     "right-of-X": of_x.render()}
         return None
     return pred
+
+
+def _first_changed_by_generation(A, key: str) -> int | None:
+    """The first failing set of one or two members, by bits, for
+    op(gen X) = op(X), op's one-point masks cached under `key`; None if none
+    fails.  gen X is the upset of the products of X's members and op(X) the
+    AND of the op_x.  If each {x} holds, y >= x forces op_x <= op_y (y is in
+    gen {x}); if each {x, y} holds too, op_x & op_y <= op_{x*y}.  So
+    op(X) <= op(gen X): a failing X has a failing subset here, and the first
+    here is the full scan's first.  `_least` of {x, y} squares x * y, as it
+    squares x * x on the way from x, so gen X is the upset of least[x * y];
+    each upset's AND is computed once, when first needed."""
+    masks, up, mul, of_gen = A._fixed_masks(key), _upsets(A), A.mul, {}
+    least = [_least(A, 1 << v, mul) for v in range(A.n)]
+    for y in range(A.n):
+        for x in (y, *range(y)):  # {y}, then {x, y}: ascending bits
+            e = least[mul[x][y]]
+            if e not in of_gen:  # an empty upset matches no X, so the pred raises
+                of_gen[e] = _and(masks, up[e], (1 << A.n) - 1) if up[e] else None
+            if masks[x] & masks[y] != of_gen[e]:
+                return 1 << x | 1 << y
+    return None
+
+
+def _generation_claim(key: str, op):
+    """op(gen X) = op(X), decided on the masks; the pred runs for the witness."""
+    def domain(A) -> list[int]:
+        bits = _first_changed_by_generation(A, key)
+        return [] if bits is None else [bits]
+    return _claim_on(domain, _blind_to_generation(op))
 
 
 def _left_is_filter(op):
@@ -428,8 +451,10 @@ def _p349_domain(A) -> list[int]:
 
 # -- T3.6 bundle conditions (shared with T3.16) -----------------------------
 
-_cond_left_of_generated = _holds_on(_singletons_and_pairs,
-                                    _blind_to_generation(impl_left))
+def _cond_left_of_generated(A) -> bool:
+    return _first_changed_by_generation(A, "impl_left") is None
+
+
 _cond_right_always_filter = _holds_on(_singletons, _left_is_filter(impl_right))
 _cond_all_stabs_coann = _holds_on(_singletons, lambda A, X: _t315_mv(A, X))
 
@@ -629,8 +654,7 @@ def _build_registry() -> dict[str, Claim]:
                                          ("right", impl_right)))))
     claims.append(Claim("P3.4.3",
                         "right stabilizer is blind to filter generation",
-                        _claim_on(_singletons_and_pairs,
-                                  _blind_to_generation(impl_right))))
+                        _generation_claim("impl_right", impl_right)))
     claims.append(Claim("P3.4.4",
                         "all three stabilizers are everything only for {top}",
                         _singleton_claim(_p344)))
@@ -709,8 +733,7 @@ def _build_registry() -> dict[str, Claim]:
                                          ("right", mult_right)))))
     claims.append(Claim("P4.3.3",
                         "right mul stabilizer is blind to filter generation",
-                        _claim_on(_singletons_and_pairs,
-                                  _blind_to_generation(mult_right))))
+                        _generation_claim("mult_right", mult_right)))
     claims.append(Claim("P4.3.4",
                         "the {bot} shape (left everything, right {bot})"
                         " characterizes {bot}", _claim_on(_p434_domain, _p434)))

@@ -337,9 +337,9 @@ def _semigroup_rows(table: Table, pad: bytes):
 @lru_cache(maxsize=1)
 def _lattice_rows(meet: Table, join: Table, bot: int, top: int):
     """The join rows and the upset rows (byte z of up[x] is 1 when x <= z),
-    if meet and join commute, associate and absorb, with bounds bot and top;
-    else None.  These six laws read nothing else, so one entry, keyed by
-    these values, decides them once per lattice of an enumeration."""
+    these also flat and padded, if meet and join commute, associate and
+    absorb, with bounds bot and top; else None.  These six laws read nothing
+    else, so one entry, keyed by these values, serves a lattice's tables."""
     n = len(meet)
     pad, ident = bytes(256 - n), bytes(range(n))
     if (m := _semigroup_rows(meet, pad)) and (j := _semigroup_rows(join, pad)):
@@ -348,7 +348,8 @@ def _lattice_rows(meet: Table, join: Table, bot: int, top: int):
                 and meet[top] == join[bot] == ident  # bounds
                 and b"".join(map(bytes.translate, join, meet_pad))  # absorption
                 == b"".join(map(bytes.translate, meet, join_pad)) == bytes(sorted(ident * n))):
-            return tuple(join), tuple(map(bytes.translate, meet, map(_flag, range(n))))
+            up = tuple(map(bytes.translate, meet, map(_flag, range(n))))
+            return tuple(join), up, b"".join(up), tuple(u + pad for u in up)
     return None
 
 
@@ -363,13 +364,14 @@ def _rows_hold(A: FiniteMtlAlgebra) -> bool:
     lattice, monoid = _lattice_rows(A.meet, A.join, A.bot, top), _semigroup_rows(A.mul, pad)
     if lattice is None or monoid is None:
         return False
-    (join, up), (mul, flat_mul, _), imp = lattice, monoid, b"".join(map(bytes, A.imp))
+    (join, up, flat_up, up_pad), (mul, flat_mul, _) = lattice, monoid
+    imp = b"".join(map(bytes, A.imp))
     return (mul[top] == bytes(range(n))  # unit
-            and b"".join(up) == imp.translate(_flag(top))  # order consistency
+            and flat_up == imp.translate(_flag(top))  # order consistency
             and {top} == set(map(getitem, map(join.__getitem__, imp),  # prelinearity
                                  chain.from_iterable(zip(*A.imp))))
             and b"".join(map(up.__getitem__, flat_mul))  # adjointness
-            == b"".join([imp.translate(u + pad) for u in up]))
+            == b"".join(map(imp.translate, up_pad)))
 
 
 def _violations(A: FiniteMtlAlgebra):

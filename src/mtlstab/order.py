@@ -43,11 +43,11 @@ class NotALatticeIdealError(ValueError):
 # its complement is empty or a meet-closed upset.
 
 def _least(A: FiniteMtlAlgebra, bits: int, table) -> int:
-    """`table` folded over the nonempty `bits`, then squared until idempotent."""
-    members = [x for x in range(A.n) if bits >> x & 1]
-    e = members[0]
-    for x in members[1:]:
-        e = table[e][x]
+    """`table` folded over the nonempty `bits`, lowest first, then squared until idempotent."""
+    e, rest = (bits & -bits).bit_length() - 1, bits & bits - 1
+    while rest:
+        low = rest & -rest
+        e, rest = table[e][low.bit_length() - 1], rest ^ low
     while table[e][e] != e:
         e = table[e][e]
     return e

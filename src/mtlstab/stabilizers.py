@@ -34,12 +34,16 @@ def _intersect(A: FiniteMtlAlgebra, X: Subset, key: str) -> Subset:
     masks, rest = A._fixed_masks(key), X.bits
     if not rest & rest - 1:  # a singleton's value is its mask
         return Subset._of(A, masks[rest.bit_length() - 1])
-    bits = (1 << A.n) - 1
+    return Subset._of(A, _and(masks, rest, (1 << A.n) - 1))
+
+
+def _and(masks, rest: int, bits: int) -> int:
+    """bits ANDed with masks[x] for each set bit x of rest."""
     while rest:
         low = rest & -rest
         bits &= masks[low.bit_length() - 1]
         rest ^= low
-    return Subset._of(A, bits)
+    return bits
 
 
 def impl_left(A: FiniteMtlAlgebra, X: Subset) -> Subset:

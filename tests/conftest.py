@@ -144,6 +144,14 @@ def full_scan_oracle(pred):
     return lambda A: _scan(A, pred, range(1, 1 << A.n), (1 << A.n) - 1)
 
 
+def singletons_and_pairs(A) -> list[int]:
+    """The sets of one or two members in ascending bit order, kept as the
+    oracle domain of `claims._first_changed_by_generation`, which decides
+    them on the one-point masks: its pred fails first here where it does
+    there."""
+    return [1 << y | b for y in range(A.n) for b in (0, *(1 << x for x in range(y)))]
+
+
 def every_subset_oracle(pred):
     """The scan over every nonempty subset, kept as the oracle for the
     library's bundle conditions that `claims._holds_on` settles on a smaller
